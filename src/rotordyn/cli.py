@@ -16,7 +16,7 @@ import numpy as np
 
 from . import control, lab
 from .lab import ComparisonConfig
-from .models import QuadParams, body_to_gen
+from .models import QuadParams
 
 COMMANDS = ("simulate", "compare", "oracle", "verify", "track", "sweep")
 
@@ -253,9 +253,8 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     comparison = ComparisonConfig(dt=cfg.dt, duration=cfg.duration,
                                   integrator=cfg.integrator, params=cfg.params)
     traj = lab.simulate_model(cfg.model, cfg.input_fn(), comparison)
-    if cfg.model == "ne" and not traj.diverged:
-        states = np.array([body_to_gen(s) for s in traj.states])
-        traj.states = states
+    if cfg.model == "ne":
+        traj = lab._as_gen(traj)
     if traj.diverged:
         print(f"diverged at step {traj.diverged_step}: {traj.diverged_reason}")
     if cfg.out:

@@ -17,9 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fast import _attitude_terms, ne_rates_321
-from .integrators import step_rk4
-from .kinematics import SINGULARITY_TOL, SingularConfiguration, w_matrix
+from .fast import _attitude_terms, _floats, _w_inv, _w_inv_t, ne_rates_321
+from .integrators import _bad, step_rk4
+from .kinematics import (
+    SINGULARITY_TOL,
+    SingularConfiguration,
+    rotation,
+    w_matrix,
+)
 from .models import QuadParams
 
 MAX_TILT = math.radians(60.0)
@@ -127,17 +132,15 @@ def attitude_fl_pid(compensator: str, eta, eta_dot, eta_ref, etad_ref,
     st, ct = math.sin(eta[1]), math.cos(eta[1])
     if abs(ct) <= SINGULARITY_TOL:
         raise SingularConfiguration(f"gimbal lock in controller at eta={eta}")
-    jr, c_etad = _attitude_terms(sf, cf, st, ct, eta_dot, params)
-    tau = jr @ nu + c_etad
-    if compensator == "el":
-        return tau
-    # W^-T for the 321 sequence
-    tt = st / ct
-    return np.array([
-        tau[0],
-        sf * tt * tau[0] + cf * tau[1] + (sf / ct) * tau[2],
-        cf * tt * tau[0] - sf * tau[1] + (cf / ct) * tau[2],
-    ])
+    (j11, j12, j13, j22, j23, j33), (c0, c1, c2) = _attitude_terms(
+        sf, cf, st, ct, _floats(eta_dot), params)
+    n0, n1, n2 = nu.tolist()
+    tau = (j11 * n0 + j12 * n1 + j13 * n2 + c0,
+           j12 * n0 + j22 * n1 + j23 * n2 + c1,
+           j13 * n0 + j23 * n1 + j33 * n2 + c2)
+    if compensator == "rel":
+        tau = _w_inv_t(sf, cf, st, ct, *tau)
+    return np.array(tau)
 
 
 @dataclass
@@ -220,7 +223,7 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
             y = step_rk4(f, y, t, dt)
         except SingularConfiguration as exc:
             return record_fail(i + 1, str(exc))
-        if not np.all(np.isfinite(y)) or np.abs(y).max() > 1e9:
+        if _bad(y):
             return record_fail(i + 1, "plant state diverged")
 
     return TrackingResult(dt, times, states, errors, diverged=False)
@@ -231,8 +234,6 @@ def _reference_start(spec: HelixSpec, gains: Gains,
     """Plant state matched to the reference at t = 0 (feedforward attitude,
     reference velocity, attitude rate from a finite difference of the
     feedforward attitude)."""
-    from .kinematics import rotation
-
     def ff_attitude(t):
         p_ref, pd_ref, pdd_ref, psi_ref = helix_reference(t, spec)
         _, eta_ref = position_outer_loop(p_ref, pd_ref, p_ref, pd_ref,
@@ -252,20 +253,17 @@ def _reference_start(spec: HelixSpec, gains: Gains,
     return y
 
 
-def _euler_rates(y) -> np.ndarray:
-    sf, cf = math.sin(y[3]), math.cos(y[3])
-    st, ct = math.sin(y[4]), math.cos(y[4])
+def _euler_rates(y):
+    """Euler-angle rates W^-1 omega of a plant state, as floats."""
+    _, _, _, phi, theta, _, _, _, _, wx, wy, wz = _floats(y)
+    ct = math.cos(theta)
     if abs(ct) <= SINGULARITY_TOL:
         raise SingularConfiguration(f"gimbal lock at eta={y[3:6]}")
-    tt = st / ct
-    wx, wy, wz = y[9], y[10], y[11]
-    return np.array([wx + sf * tt * wy + cf * tt * wz,
-                     cf * wy - sf * wz,
-                     (sf * wy + cf * wz) / ct])
+    return _w_inv(math.sin(phi), math.cos(phi), math.sin(theta), ct,
+                  wx, wy, wz)
 
 
 def _inertial_velocity(y) -> np.ndarray:
-    from .kinematics import rotation
     return rotation(y[3:6]) @ y[6:9]
 
 

@@ -5,6 +5,14 @@ specialized to the default Tait-Bryan 321 sequence and a diagonal
 inertia.  The generic implementations stay the reference; the test suite
 pins these to them at machine tolerance.
 
+Float-body convention: every kernel unpacks its state (ndarray, list or
+tuple) once into Python floats, does straight-line float arithmetic and
+creates no ndarray for any intermediate.  The ``*_rates_321`` and
+``*_derivative_321`` functions return one length-12 ndarray; the helpers
+take and return floats or tuples of floats.  Python floats and numpy
+float64 round identically, so the result does not depend on the type of
+the state passed in.
+
 For 321 (eta = (phi, theta, psi), W independent of psi):
 
     W   = [[1, 0, -st], [0, cf, sf*ct], [0, -sf, cf*ct]]
@@ -25,26 +33,41 @@ from .kinematics import SINGULARITY_TOL, SingularConfiguration
 from .models import QuadParams, mixer, relative_rotor_speed
 
 
-def _trig(eta):
-    return (math.sin(eta[3]), math.cos(eta[3]),
-            math.sin(eta[4]), math.cos(eta[4]),
-            math.sin(eta[5]), math.cos(eta[5]))
+def _floats(v):
+    """``v`` as a list of Python floats if it is an ndarray, else as is."""
+    return v.tolist() if isinstance(v, np.ndarray) else v
 
 
-def _check_ct(ct, eta):
+def _check_ct(ct, phi, theta, psi):
     if abs(ct) <= SINGULARITY_TOL:
         raise SingularConfiguration(
             f"|det W| = |cos theta| = {abs(ct):.3e} <= {SINGULARITY_TOL:.1e} "
-            f"at eta = ({eta[3]}, {eta[4]}, {eta[5]})")
+            f"at eta = ({phi}, {theta}, {psi})")
+
+
+def _w_inv(sf, cf, st, ct, a, b, c):
+    """W^-1 (a, b, c): Euler-angle rates from body angular velocity."""
+    tt = st / ct
+    return (a + sf * tt * b + cf * tt * c, cf * b - sf * c,
+            (sf * b + cf * c) / ct)
+
+
+def _w_inv_t(sf, cf, st, ct, a, b, c):
+    """W^-T (a, b, c): body torque from a generalized torque."""
+    tt = st / ct
+    return (a, sf * tt * a + cf * b + (sf / ct) * c,
+            cf * tt * a - sf * b + (cf / ct) * c)
 
 
 def ne_rates_321(y, thrust, tau, params: QuadParams) -> np.ndarray:
     """Newton-Euler derivative; tau is the total body torque incl. gyro."""
-    sf, cf, st, ct, sp, cp = _trig(y)
-    _check_ct(ct, y)
-    vx, vy, vz = y[6], y[7], y[8]
-    wx, wy, wz = y[9], y[10], y[11]
-    m, g = params.mass, params.gravity
+    _, _, _, phi, theta, psi, vx, vy, vz, wx, wy, wz = _floats(y)
+    sf, cf = math.sin(phi), math.cos(phi)
+    st, ct = math.sin(theta), math.cos(theta)
+    sp, cp = math.sin(psi), math.cos(psi)
+    _check_ct(ct, phi, theta, psi)
+    tx, ty, tz = _floats(tau)
+    g = params.gravity
     jx, jy, jz = params.jx, params.jy, params.jz
 
     # body->inertial rotation, row major
@@ -52,40 +75,38 @@ def ne_rates_321(y, thrust, tau, params: QuadParams) -> np.ndarray:
     r21 = sp * ct; r22 = sp * st * sf + cp * cf; r23 = sp * st * cf - cp * sf
     r31 = -st; r32 = ct * sf; r33 = ct * cf
 
-    tt = st / ct
-    out = np.empty(12)
-    out[0] = r11 * vx + r12 * vy + r13 * vz
-    out[1] = r21 * vx + r22 * vy + r23 * vz
-    out[2] = r31 * vx + r32 * vy + r33 * vz
-    # eta_dot = W^-1 omega
-    out[3] = wx + sf * tt * wy + cf * tt * wz
-    out[4] = cf * wy - sf * wz
-    out[5] = (sf * wy + cf * wz) / ct
-    # v_dot = T/m e3 - omega x v - g R^T e3
-    out[6] = -(wy * vz - wz * vy) - g * r31
-    out[7] = -(wz * vx - wx * vz) - g * r32
-    out[8] = thrust / m - (wx * vy - wy * vx) - g * r33
-    # omega_dot = J^-1 (tau - omega x J omega)
-    out[9] = (tau[0] - (jz - jy) * wy * wz) / jx
-    out[10] = (tau[1] - (jx - jz) * wz * wx) / jy
-    out[11] = (tau[2] - (jy - jx) * wx * wy) / jz
-    return out
+    return np.array([
+        r11 * vx + r12 * vy + r13 * vz,
+        r21 * vx + r22 * vy + r23 * vz,
+        r31 * vx + r32 * vy + r33 * vz,
+        # eta_dot = W^-1 omega
+        *_w_inv(sf, cf, st, ct, wx, wy, wz),
+        # v_dot = T/m e3 - omega x v - g R^T e3
+        -(wy * vz - wz * vy) - g * r31,
+        -(wz * vx - wx * vz) - g * r32,
+        thrust / params.mass - (wx * vy - wy * vx) - g * r33,
+        # omega_dot = J^-1 (tau - omega x J omega)
+        (tx - (jz - jy) * wy * wz) / jx,
+        (ty - (jx - jz) * wz * wx) / jy,
+        (tz - (jy - jx) * wx * wy) / jz,
+    ])
 
 
 def _attitude_terms(sf, cf, st, ct, etad, params: QuadParams):
-    """J_R (symmetric, 6 entries) and C @ eta_dot for the 321 sequence."""
+    """J_R and C @ eta_dot for the 321 sequence, as floats.
+
+    Returns ``(jr, c_etad)``: the six upper-triangle entries
+    (j11, j12, j13, j22, j23, j33) of the symmetric J_R, and C @ eta_dot.
+    """
     jx, jy, jz = params.jx, params.jy, params.jz
-    fd, td = etad[0], etad[1]
-    pd = etad[2]
+    fd, td, pd = etad
 
     a = jy * cf * cf + jz * sf * sf
     b = (jy - jz) * sf * cf
     e = jy * sf * sf + jz * cf * cf
     c2f = cf * cf - sf * sf
 
-    jr11 = jx
     jr13 = -jx * st
-    jr22 = a
     jr23 = b * ct
     jr33 = jx * st * st + e * ct * ct
 
@@ -97,8 +118,7 @@ def _attitude_terms(sf, cf, st, ct, etad, params: QuadParams):
     dBct_t = -b * st
     d33_t = 2.0 * st * ct * (jx - e)
 
-    # J_R_dot = dJR/dphi * phid + dJR/dtheta * thetad
-    jrd11 = 0.0
+    # J_R_dot = dJR/dphi * phid + dJR/dtheta * thetad  (jrd11 = jrd12 = 0)
     jrd13 = d13_t * td
     jrd22 = dA_f * fd
     jrd23 = dBct_f * fd + dBct_t * td
@@ -108,103 +128,96 @@ def _attitude_terms(sf, cf, st, ct, etad, params: QuadParams):
     g0 = dA_f * td * td + 2.0 * dBct_f * td * pd + d33_f * pd * pd
     g1 = 2.0 * d13_t * fd * pd + 2.0 * dBct_t * td * pd + d33_t * pd * pd
 
-    c_etad = np.array([
-        jrd13 * pd - 0.5 * g0,
-        jrd22 * td + jrd23 * pd - 0.5 * g1,
-        jrd13 * fd + jrd23 * td + jrd33 * pd,
-    ])
-    jr = np.array([[jr11, 0.0, jr13],
-                   [0.0, jr22, jr23],
-                   [jr13, jr23, jr33]])
-    return jr, c_etad
+    c_etad = (jrd13 * pd - 0.5 * g0,
+              jrd22 * td + jrd23 * pd - 0.5 * g1,
+              jrd13 * fd + jrd23 * td + jrd33 * pd)
+    return (jx, 0.0, jr13, a, jr23, jr33), c_etad
 
 
-def _solve_sym(jr, rhs) -> np.ndarray:
-    """Solve jr @ x = rhs for the symmetric J_R sparsity pattern above."""
-    a11, a13 = jr[0, 0], jr[0, 2]
-    a22, a23 = jr[1, 1], jr[1, 2]
-    a33 = jr[2, 2]
-    det = a11 * (a22 * a33 - a23 * a23) - a13 * a22 * a13
+def _solve_sym(jr, rhs):
+    """Solve J_R x = rhs for a symmetric J_R given as its six
+    upper-triangle entries; floats in, a tuple of floats out."""
+    a11, a12, a13, a22, a23, a33 = jr
+    r0, r1, r2 = rhs
     i11 = a22 * a33 - a23 * a23
-    i12 = a13 * a23
-    i13 = -a13 * a22
+    i12 = a13 * a23 - a12 * a33
+    i13 = a12 * a23 - a13 * a22
     i22 = a11 * a33 - a13 * a13
-    i23 = -a11 * a23
-    i33 = a11 * a22
+    i23 = a12 * a13 - a11 * a23
+    i33 = a11 * a22 - a12 * a12
+    det = a11 * i11 + a12 * i12 + a13 * i13
+    return ((i11 * r0 + i12 * r1 + i13 * r2) / det,
+            (i12 * r0 + i22 * r1 + i23 * r2) / det,
+            (i13 * r0 + i23 * r1 + i33 * r2) / det)
+
+
+def _gen_rates(y, thrust, tau, params: QuadParams, revised: bool):
+    """E-L derivative: generalized torque tau (literature) or W^T tau
+    (revised)."""
+    _, _, _, phi, theta, psi, xd, yd, zd, fd, td, pd = _floats(y)
+    sf, cf = math.sin(phi), math.cos(phi)
+    st, ct = math.sin(theta), math.cos(theta)
+    sp, cp = math.sin(psi), math.cos(psi)
+    _check_ct(ct, phi, theta, psi)
+    tx, ty, tz = _floats(tau)
+    if revised:  # generalized torque W^T tau
+        tx, ty, tz = (tx, cf * ty - sf * tz,
+                      -st * tx + sf * ct * ty + cf * ct * tz)
+    jr, (c0, c1, c2) = _attitude_terms(sf, cf, st, ct, (fd, td, pd), params)
+    tm = thrust / params.mass
     return np.array([
-        i11 * rhs[0] + i12 * rhs[1] + i13 * rhs[2],
-        i12 * rhs[0] + i22 * rhs[1] + i23 * rhs[2],
-        i13 * rhs[0] + i23 * rhs[1] + i33 * rhs[2],
-    ]) / det
-
-
-def _gen_common(y, thrust, params: QuadParams):
-    sf, cf, st, ct, sp, cp = _trig(y)
-    _check_ct(ct, y)
-    m, g = params.mass, params.gravity
-    out = np.empty(12)
-    out[0:3] = y[6:9]
-    out[3:6] = y[9:12]
-    # p_dd = T/m R e3 - g e3
-    out[6] = (thrust / m) * (cp * st * cf + sp * sf)
-    out[7] = (thrust / m) * (sp * st * cf - cp * sf)
-    out[8] = (thrust / m) * (ct * cf) - g
-    return out, sf, cf, st, ct
+        xd, yd, zd, fd, td, pd,
+        # p_dd = T/m R e3 - g e3
+        tm * (cp * st * cf + sp * sf),
+        tm * (sp * st * cf - cp * sf),
+        tm * (ct * cf) - params.gravity,
+        *_solve_sym(jr, (tx - c0, ty - c1, tz - c2)),
+    ])
 
 
 def el_lit_rates_321(y, thrust, tau, params: QuadParams) -> np.ndarray:
     """Literature E-L derivative; tau is the body torque incl. gyro."""
-    out, sf, cf, st, ct = _gen_common(y, thrust, params)
-    etad = y[9:12]
-    jr, c_etad = _attitude_terms(sf, cf, st, ct, etad, params)
-    out[9:12] = _solve_sym(jr, tau - c_etad)
-    return out
+    return _gen_rates(y, thrust, tau, params, revised=False)
 
 
 def rel_rates_321(y, thrust, tau, params: QuadParams) -> np.ndarray:
     """Revised E-L derivative; the torque enters as W^T tau."""
-    out, sf, cf, st, ct = _gen_common(y, thrust, params)
-    etad = y[9:12]
-    jr, c_etad = _attitude_terms(sf, cf, st, ct, etad, params)
-    wt_tau = np.array([
-        tau[0],
-        cf * tau[1] - sf * tau[2],
-        -st * tau[0] + sf * ct * tau[1] + cf * ct * tau[2],
-    ])
-    out[9:12] = _solve_sym(jr, wt_tau - c_etad)
-    return out
+    return _gen_rates(y, thrust, tau, params, revised=True)
 
 
 def _gyro_body(omega, u, params: QuadParams):
+    """Rotor gyroscopic torque (x, y components; z is zero) as floats."""
     if not params.gyro_enabled or params.rotor_inertia == 0.0:
         return 0.0, 0.0
-    s = params.rotor_inertia * relative_rotor_speed(u)
+    s = params.rotor_inertia * relative_rotor_speed(_floats(u))
     # omega x e3 = (wy, -wx, 0)
     return s * omega[1], -s * omega[0]
 
 
-def ne_derivative_321(y, u, params: QuadParams) -> np.ndarray:
-    thrust, torque = mixer(u, params)
-    gx, gy = _gyro_body(y[9:12], u, params)
-    tau = np.array([torque[0] + gx, torque[1] + gy, torque[2]])
-    return ne_rates_321(y, thrust, tau, params)
-
-
 def _gen_omega(y):
-    sf, cf, st, ct = math.sin(y[3]), math.cos(y[3]), math.sin(y[4]), math.cos(y[4])
+    """Body angular velocity W eta_dot of a float generalized state."""
+    sf, cf = math.sin(y[3]), math.cos(y[3])
+    st, ct = math.sin(y[4]), math.cos(y[4])
     fd, td, pd = y[9], y[10], y[11]
-    return np.array([fd - st * pd, cf * td + sf * ct * pd, -sf * td + cf * ct * pd])
+    return fd - st * pd, cf * td + sf * ct * pd, -sf * td + cf * ct * pd
+
+
+def ne_derivative_321(y, u, params: QuadParams) -> np.ndarray:
+    thrust, (tx, ty, tz) = mixer(u, params)
+    y = _floats(y)
+    gx, gy = _gyro_body(y[9:12], u, params)
+    return ne_rates_321(y, thrust, (tx + gx, ty + gy, tz), params)
 
 
 def el_lit_derivative_321(y, u, params: QuadParams) -> np.ndarray:
-    thrust, torque = mixer(u, params)
+    thrust, (tx, ty, tz) = mixer(u, params)
+    y = _floats(y)
     gx, gy = _gyro_body(_gen_omega(y), u, params)
-    tau = np.array([torque[0] + gx, torque[1] + gy, torque[2]])
-    return el_lit_rates_321(y, thrust, tau, params)
+    return el_lit_rates_321(y, thrust, (tx + gx, ty + gy, tz), params)
 
 
 def rel_derivative_321(y, u, params: QuadParams) -> np.ndarray:
-    thrust, torque = mixer(u, params)
+    thrust, (tx, ty, tz) = mixer(u, params)
+    y = _floats(y)
     gx, gy = _gyro_body(_gen_omega(y), u, params)
-    tau = np.array([torque[0] + gx, torque[1] + gy, torque[2]])
-    return rel_rates_321(y, thrust, tau, params)
+    return rel_rates_321(y, thrust, (tx + gx, ty + gy, tz), params)

@@ -289,6 +289,20 @@ def _as_gen(traj: Trajectory) -> Trajectory:
                       traj.diverged_step, traj.diverged_reason)
 
 
+def _score(table: RmseTable, ref_label: str, ref: Trajectory,
+           runs: dict[str, Trajectory]):
+    """Fill in the RMSE of each run against ``ref``.  A diverged run, or
+    every run when ``ref`` diverged, scores inf and gets a note."""
+    for label, traj in {ref_label: ref, **runs}.items():
+        if traj.diverged:
+            table.notes[label] = (f"diverged at step {traj.diverged_step}: "
+                                  f"{traj.diverged_reason}")
+    for group in GROUPS:
+        table.values[group] = [
+            math.inf if ref.diverged or traj.diverged
+            else rmse(ref, traj, group) for traj in runs.values()]
+
+
 def run_model_comparison(cfg: ComparisonConfig,
                          input_fn=drifting_rotor_input) -> RmseTable:
     """RMSE of both E-L variants against the Newton-Euler model."""
@@ -297,21 +311,16 @@ def run_model_comparison(cfg: ComparisonConfig,
     rel = simulate_model("rel", input_fn, cfg)
     table = RmseTable("ne", ["el", "rel"], {}, cfg.dt, cfg.duration,
                       cfg.integrator)
-    for label, traj in (("el", el), ("rel", rel)):
-        if traj.diverged:
-            table.notes[label] = f"diverged at step {traj.diverged_step}: " \
-                                 f"{traj.diverged_reason}"
-    for group in GROUPS:
-        table.values[group] = [
-            rmse(ne, el, group) if not el.diverged else math.inf,
-            rmse(ne, rel, group) if not rel.diverged else math.inf,
-        ]
+    _score(table, "ne", ne, {"el": el, "rel": rel})
     return table
 
 
 def _subsample(traj: Trajectory, every: int, dt: float) -> Trajectory:
+    """Every ``every``-th sample; a divergence keeps its step on the fine
+    grid."""
     return Trajectory(dt, dt * np.arange(len(traj.states[::every])),
-                      traj.states[::every])
+                      traj.states[::every], traj.diverged,
+                      traj.diverged_step, traj.diverged_reason)
 
 
 def run_oracle_comparison(cfg: ComparisonConfig,
@@ -337,13 +346,5 @@ def run_oracle_comparison(cfg: ComparisonConfig,
     table.notes["oracle"] = (
         f"Newton-Euler RK4 at dt/{cfg.oracle_refinement}"
     )
-    for label, traj in (("ne", ne), ("el", el), ("rel", rel)):
-        if traj.diverged:
-            table.notes[label] = f"diverged at step {traj.diverged_step}: " \
-                                 f"{traj.diverged_reason}"
-    for group in GROUPS:
-        table.values[group] = [
-            rmse(oracle, t, group) if not t.diverged else math.inf
-            for t in (ne, el, rel)
-        ]
+    _score(table, "reference", oracle, {"ne": ne, "el": el, "rel": rel})
     return table

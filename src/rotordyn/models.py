@@ -90,20 +90,18 @@ def mixer(u, params: QuadParams):
     """Rotor speeds -> (thrust, body torque) for a plus-configured frame.
 
     Rotor 1 on +x, 2 on +y, 3 on -x, 4 on -y; rotors 1 and 3 spin
-    opposite to 2 and 4.
+    opposite to 2 and 4.  Returns Python floats: ``(thrust, (tx, ty, tz))``.
     """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (4,):
-        raise ValueError("expected four rotor speeds")
-    sq = u * u
+    try:
+        u0, u1, u2, u3 = u.tolist() if isinstance(u, np.ndarray) else u
+        s0, s1, s2, s3 = u0 * u0, u1 * u1, u2 * u2, u3 * u3
+    except (TypeError, ValueError):
+        raise ValueError("expected four rotor speeds") from None
     k = params.thrust_coeff
-    thrust = k * sq.sum()
-    torque = np.array([
-        params.arm * k * (sq[3] - sq[1]),
-        params.arm * k * (sq[2] - sq[0]),
-        params.drag_coeff * (-sq[0] + sq[1] - sq[2] + sq[3]),
-    ])
-    return thrust, torque
+    ak = params.arm * k
+    thrust = k * (s0 + s1 + s2 + s3)
+    return thrust, (ak * (s3 - s1), ak * (s2 - s0),
+                    params.drag_coeff * (-s0 + s1 - s2 + s3))
 
 
 def relative_rotor_speed(u) -> float:

@@ -147,6 +147,17 @@ class TestMain:
         assert main(["run", "--config", str(p), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_diverged_ne_run_is_written_in_generalized_coordinates(
+            self, tmp_path, request):
+        full, cut = tmp_path / "full.csv", tmp_path / "cut.csv"
+        args = ["simulate", "--duration", "1", "--out"]
+        assert main(args + [str(full)]) == 0
+        request.getfixturevalue("ne_diverges")
+        assert main(args + [str(cut)]) == 0
+        cut_rows = cut.read_text().splitlines()
+        assert len(cut_rows) == 52   # header + the 51 samples before step 50
+        assert cut_rows == full.read_text().splitlines()[:52]
+
     def test_unwritable_output_fails(self, tmp_path, capsys):
         p = tmp_path / "c.cfg"
         p.write_text("[run]\ncommand = simulate\nduration = 1\n")

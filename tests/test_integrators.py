@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from rotordyn.integrators import (
+    DIVERGENCE_LIMIT,
     Trajectory,
+    _bad,
     simulate,
     step_euler,
     step_rk4,
@@ -33,6 +35,21 @@ class TestSteps:
         y = step_rk4(lambda t, y: np.array([2.0 * t]), np.array([0.0]),
                      0.0, 1.0)
         assert y[0] == pytest.approx(1.0, abs=1e-14)
+
+
+class TestDivergenceTest:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       2.0 * DIVERGENCE_LIMIT,
+                                       -2.0 * DIVERGENCE_LIMIT])
+    def test_flags_non_finite_and_runaway_entries(self, value):
+        y = np.ones(12)
+        y[7] = value
+        assert _bad(y)
+
+    def test_passes_finite_state_at_the_limit(self):
+        y = np.full(12, -DIVERGENCE_LIMIT)
+        y[0] = DIVERGENCE_LIMIT
+        assert not _bad(y)
 
 
 class TestConvergenceOrder:

@@ -143,3 +143,27 @@ def test_diverging_model_is_reported(monkeypatch):
                                  wild_input)
     if "el" in table.notes:
         assert math.isinf(table.value("p", "el"))
+
+
+class TestDivergedReference:
+    """A diverged Newton-Euler run or reference is reported, not raised."""
+
+    CFG = ComparisonConfig(dt=0.01, duration=1.0, oracle_refinement=10)
+
+    @staticmethod
+    def _all_inf(table):
+        return all(math.isinf(v) for row in table.values.values() for v in row)
+
+    def test_model_comparison(self, ne_diverges):
+        table = run_model_comparison(self.CFG)
+        assert table.notes["ne"].startswith("diverged at step 50:")
+        assert "injected gimbal lock" in table.notes["ne"]
+        assert self._all_inf(table)
+        assert "inf" in table.format_text()
+
+    def test_oracle_comparison(self, ne_diverges):
+        table = run_oracle_comparison(self.CFG)
+        assert table.notes["reference"].startswith("diverged at step 50:")
+        assert table.notes["ne"].startswith("diverged at step 0:")
+        assert "oracle" in table.notes
+        assert self._all_inf(table)

@@ -76,6 +76,26 @@ class TestMixer:
         with pytest.raises(ValueError):
             mixer([1.0, 2.0, 3.0], params)
 
+    @pytest.mark.parametrize("u", [np.ones(5), np.ones((4, 1)),
+                                   np.ones((2, 2)), 400.0,
+                                   ["a", "b", "c", "d"]])
+    def test_rejects_anything_but_four_speeds(self, params, u):
+        with pytest.raises(ValueError):
+            mixer(u, params)
+
+    def test_floats_equal_the_array_formula(self, params, rng):
+        k, arm, drag = params.thrust_coeff, params.arm, params.drag_coeff
+        for u in rng.uniform(300.0, 600.0, (20, 4)):
+            sq = u * u
+            want = (k * sq.sum(),
+                    (arm * k * (sq[3] - sq[1]), arm * k * (sq[2] - sq[0]),
+                     drag * (-sq[0] + sq[1] - sq[2] + sq[3])))
+            for same in (u, u.tolist(), tuple(u.tolist())):
+                thrust, torque = mixer(same, params)
+                assert type(thrust) is float
+                assert all(type(v) is float for v in torque)
+                assert (thrust, torque) == want
+
 
 class TestGyroTorque:
     def test_direction_for_pure_roll_rate(self, params):
@@ -229,6 +249,38 @@ class TestFastPath:
             got = fast.ne_rates_321(state, thrust, tau, params)
             want = models.ne_rates(state, thrust, tau, np.zeros(3), params)
             assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("fn", [fast.ne_derivative_321,
+                                    fast.el_lit_derivative_321,
+                                    fast.rel_derivative_321])
+    def test_state_container_does_not_change_result(self, fn, params, rng):
+        for state in random_full_states(rng, 10):
+            u = rng.uniform(300.0, 600.0, 4)
+            want = fn(state, u, params)
+            for same in (list(state), tuple(state.tolist())):
+                assert np.array_equal(fn(same, u, params), want)
+            tau = rng.uniform(-0.05, 0.05, 3)
+            want = fast.ne_rates_321(state, 2.0, tau, params)
+            for same in (state.tolist(), tuple(state)):
+                got = fast.ne_rates_321(same, 2.0, tuple(tau), params)
+                assert np.array_equal(got, want)
+
+    def test_attitude_terms_pinned(self, params, rng):
+        etas, eta_dots = random_attitudes(rng, 30)
+        for eta, eta_dot in zip(etas, eta_dots):
+            trig = (math.sin(eta[0]), math.cos(eta[0]),
+                    math.sin(eta[1]), math.cos(eta[1]))
+            jr, c_etad = fast._attitude_terms(*trig, eta_dot.tolist(),
+                                              params)
+            assert all(type(v) is float for v in jr + c_etad)
+            want = rotated_inertia(eta, params)
+            got = np.array([jr[0:3], (jr[1], jr[3], jr[4]),
+                            (jr[2], jr[4], jr[5])])
+            assert np.allclose(got, want, rtol=0.0, atol=1e-10)
+            want = coriolis_matrix(eta, eta_dot, params) @ eta_dot
+            assert np.allclose(c_etad, want, rtol=0.0, atol=1e-10)
+            x = fast._solve_sym(jr, tuple(want))
+            assert np.allclose(got @ x, want, rtol=0.0, atol=1e-12)
 
     def test_raises_at_gimbal_lock(self, params):
         state = np.zeros(12)
