@@ -299,7 +299,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 def _cmd_track(cfg: RunConfig) -> int:
     result = control.run_tracking(cfg.compensator, cfg.helix, cfg.gains,
-                                  cfg.params.with_gyro(False), cfg.dt)
+                                  cfg.params, cfg.dt)
     status = "diverged: " + result.diverged_reason if result.diverged else "tracked"
     print(f"{cfg.compensator} compensator: {status}, "
           f"max|e_eta| = {result.max_error:.4e}")
@@ -310,7 +310,7 @@ def _cmd_track(cfg: RunConfig) -> int:
 
 def _cmd_sweep(cfg: RunConfig) -> int:
     report = control.gain_sweep(cfg.compensators, cfg.ki_grid, cfg.gains,
-                                cfg.helix, cfg.params.with_gyro(False), cfg.dt)
+                                cfg.helix, cfg.params, cfg.dt)
     print(report.format_text())
     if cfg.out:
         _write_rows(report.csv_rows(), cfg.out)
@@ -364,6 +364,9 @@ def main(argv=None) -> int:
         if not cfg.command:
             raise ConfigError("no command given (flag or [run] command = ...)")
         _validate(cfg)
+        if cfg.command in ("track", "sweep"):
+            # the closed loop commands the wrench: no rotor gyroscopic torque
+            cfg.params = cfg.params.with_gyro(False)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

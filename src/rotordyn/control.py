@@ -11,13 +11,18 @@ loop is identical for both.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fast import _attitude_terms, _floats, _w_inv, _w_inv_t, ne_rates_321
+from .fast import (
+    _attitude_terms,
+    _floats,
+    _rotate,
+    _w_inv,
+    _w_inv_t,
+    ne_rates_321,
+)
 from .integrators import _bad, step_rk4
 from .kinematics import (
     SINGULARITY_TOL,
@@ -93,54 +98,58 @@ def position_outer_loop(p, p_dot, p_ref, pd_ref, pdd_ref, psi_ref,
 
     The commanded specific force f = a_cmd + g e3 is realized by tilting the
     body z axis onto f; raises InfeasibleAttitude if that needs more than
-    ``max_tilt`` or a non-positive vertical component.
+    ``max_tilt`` or a non-positive vertical component.  Returns
+    ``(thrust, (phi_ref, theta_ref, psi_ref))`` as floats.
     """
-    a_cmd = (pdd_ref + gains.pos_kd * (pd_ref - p_dot)
-             + gains.pos_kp * (p_ref - p) + gains.pos_ki * int_err)
-    f = a_cmd + np.array([0.0, 0.0, params.gravity])
-    norm = np.linalg.norm(f)
-    if f[2] <= 0.0 or f[2] / norm < math.cos(max_tilt):
+    kp, ki, kd = gains.pos_kp, gains.pos_ki, gains.pos_kd
+    f = [a + kd * (vr - v) + kp * (xr - x) + ki * e
+         for x, v, xr, vr, a, e in zip(
+             _floats(p), _floats(p_dot), _floats(p_ref), _floats(pd_ref),
+             _floats(pdd_ref), _floats(int_err))]
+    f[2] += params.gravity
+    fx, fy, fz = f
+    norm = math.hypot(fx, fy, fz)
+    if fz <= 0.0 or fz / norm < math.cos(max_tilt):
         raise InfeasibleAttitude(
             f"commanded specific force {f} exceeds tilt limit "
             f"{math.degrees(max_tilt):.0f} deg")
-    u = f / norm
+    u0, u1, u2 = fx / norm, fy / norm, fz / norm
     sp, cp = math.sin(psi_ref), math.cos(psi_ref)
-    ux = cp * u[0] + sp * u[1]
-    uy = -sp * u[0] + cp * u[1]
-    phi_ref = -math.asin(uy)
-    theta_ref = math.atan2(ux, u[2])
-    thrust = params.mass * norm
-    return thrust, np.array([phi_ref, theta_ref, psi_ref])
+    phi_ref = -math.asin(-sp * u0 + cp * u1)
+    theta_ref = math.atan2(cp * u0 + sp * u1, u2)
+    return params.mass * norm, (phi_ref, theta_ref, psi_ref)
 
 
 def attitude_fl_pid(compensator: str, eta, eta_dot, eta_ref, etad_ref,
-                    etadd_ref, int_err, gains: Gains,
-                    params: QuadParams) -> np.ndarray:
+                    etadd_ref, int_err, gains: Gains, params: QuadParams):
     """Body torque command from feedback linearization plus PID.
 
     ``compensator`` selects the model used for dynamic compensation:
     'el' applies M = J_R nu + C eta_dot (literature), 'rel' applies
     M = W^-T (J_R nu + C eta_dot), which exactly linearizes the true
-    attitude dynamics.
+    attitude dynamics.  Returns the torque as a tuple of floats.
     """
     if compensator not in ("el", "rel"):
         raise ValueError(f"compensator must be 'el' or 'rel': {compensator!r}")
-    err = eta_ref - eta
-    nu = (etadd_ref + gains.att_kd * (etad_ref - eta_dot)
-          + gains.att_kp * err + gains.att_ki * int_err)
+    eta = _floats(eta)
+    eta_dot = _floats(eta_dot)
+    kp, ki, kd = gains.att_kp, gains.att_ki, gains.att_kd
+    n0, n1, n2 = [a + kd * (rr - r) + kp * (xr - x) + ki * e
+                  for x, r, xr, rr, a, e in zip(
+                      eta, eta_dot, _floats(eta_ref), _floats(etad_ref),
+                      _floats(etadd_ref), _floats(int_err))]
     sf, cf = math.sin(eta[0]), math.cos(eta[0])
     st, ct = math.sin(eta[1]), math.cos(eta[1])
     if abs(ct) <= SINGULARITY_TOL:
         raise SingularConfiguration(f"gimbal lock in controller at eta={eta}")
     (j11, j12, j13, j22, j23, j33), (c0, c1, c2) = _attitude_terms(
-        sf, cf, st, ct, _floats(eta_dot), params)
-    n0, n1, n2 = nu.tolist()
+        sf, cf, st, ct, eta_dot, params)
     tau = (j11 * n0 + j12 * n1 + j13 * n2 + c0,
            j12 * n0 + j22 * n1 + j23 * n2 + c1,
            j13 * n0 + j23 * n1 + j33 * n2 + c2)
     if compensator == "rel":
         tau = _w_inv_t(sf, cf, st, ct, *tau)
-    return np.array(tau)
+    return tau
 
 
 @dataclass
@@ -176,10 +185,10 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
     commands are applied directly).
     """
     n_steps = int(math.floor(spec.duration / dt + 1e-9))
-    y = _reference_start(spec, gains, params)
-    pos_int = np.zeros(3)
-    att_int = np.zeros(3)
-    zero3 = np.zeros(3)
+    y = _reference_start(spec, gains, params).tolist()
+    pos_int = [0.0, 0.0, 0.0]
+    att_int = [0.0, 0.0, 0.0]
+    zero3 = (0.0, 0.0, 0.0)
 
     times = dt * np.arange(n_steps + 1)
     states = np.empty((n_steps + 1, 12))
@@ -191,7 +200,7 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
                               diverged=True, diverged_reason=reason)
 
     for i in range(n_steps + 1):
-        t = times[i]
+        t = i * dt
         p_ref, pd_ref, pdd_ref, psi_ref = helix_reference(t, spec)
         eta = y[3:6]
         p_dot = _inertial_velocity(y)
@@ -205,16 +214,17 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
         except (InfeasibleAttitude, SingularConfiguration) as exc:
             return record_fail(i, str(exc))
 
-        err = eta_ref - eta
+        err = [r - e for r, e in zip(eta_ref, eta)]
         errors[i] = err
         states[i] = y
-        if np.abs(err).max() > ERROR_LIMIT:
+        if max(map(abs, err)) > ERROR_LIMIT:
             return record_fail(i + 1, "attitude error limit exceeded")
         if i == n_steps:
             break
 
-        pos_int += (p_ref - y[0:3]) * dt
-        att_int += err * dt
+        pos_int = [a + (r - x) * dt
+                   for a, r, x in zip(pos_int, p_ref.tolist(), y)]
+        att_int = [a + e * dt for a, e in zip(att_int, err)]
 
         def f(_t, yy):
             return ne_rates_321(yy, thrust, torque, params)
@@ -239,7 +249,7 @@ def _reference_start(spec: HelixSpec, gains: Gains,
         _, eta_ref = position_outer_loop(p_ref, pd_ref, p_ref, pd_ref,
                                          pdd_ref, psi_ref, np.zeros(3),
                                          gains, params)
-        return eta_ref
+        return np.array(eta_ref)
 
     p_ref, pd_ref, _, _ = helix_reference(0.0, spec)
     h = 1e-4
@@ -263,8 +273,11 @@ def _euler_rates(y):
                   wx, wy, wz)
 
 
-def _inertial_velocity(y) -> np.ndarray:
-    return rotation(y[3:6]) @ y[6:9]
+def _inertial_velocity(y):
+    """Inertial velocity R v of a plant state, as floats."""
+    _, _, _, phi, theta, psi, vx, vy, vz, _, _, _ = _floats(y)
+    return _rotate(math.sin(phi), math.cos(phi), math.sin(theta),
+                   math.cos(theta), math.sin(psi), math.cos(psi), vx, vy, vz)
 
 
 @dataclass
@@ -306,30 +319,18 @@ class SweepReport:
 DEFAULT_KI_GRID = (8e3, 10e3, 12e3, 14e3, 15.5e3, 16e3, 18e3)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("ROTORDYN_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n) if n > 0 else min(4, os.cpu_count() or 1)
-
-
 def gain_sweep(compensators, ki_grid, gains: Gains, spec: HelixSpec,
                params: QuadParams, dt: float = 2e-3) -> SweepReport:
     """Classify closed-loop stability over a grid of integral gains."""
     ki_grid = sorted(ki_grid)
     if not ki_grid:
         raise ValueError("ki_grid must be nonempty")
-    cells = [(comp, ki) for comp in compensators for ki in ki_grid]
-
-    def run_cell(cell):
-        comp, ki = cell
-        g = Gains(gains.pos_kp, gains.pos_ki, gains.pos_kd,
-                  gains.att_kp, ki, gains.att_kd)
-        result = run_tracking(comp, spec, g, params, dt)
-        return SweepRow(comp, ki, not result.diverged, result.max_error)
-
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        rows = list(pool.map(run_cell, cells))
+    rows = []
+    for comp in compensators:
+        for ki in ki_grid:
+            g = Gains(gains.pos_kp, gains.pos_ki, gains.pos_kd,
+                      gains.att_kp, ki, gains.att_kd)
+            result = run_tracking(comp, spec, g, params, dt)
+            rows.append(SweepRow(comp, ki, not result.diverged,
+                                 result.max_error))
     return SweepReport(rows)

@@ -7,11 +7,11 @@ pins these to them at machine tolerance.
 
 Float-body convention: every kernel unpacks its state (ndarray, list or
 tuple) once into Python floats, does straight-line float arithmetic and
-creates no ndarray for any intermediate.  The ``*_rates_321`` and
-``*_derivative_321`` functions return one length-12 ndarray; the helpers
-take and return floats or tuples of floats.  Python floats and numpy
-float64 round identically, so the result does not depend on the type of
-the state passed in.
+creates no ndarray.  The ``*_rates_321`` and ``*_derivative_321``
+functions return the derivative as a list of 12 floats, the state
+convention of ``integrators``; the helpers take and return floats or
+tuples of floats.  Python floats and numpy float64 round identically, so
+the result does not depend on the type of the state passed in.
 
 For 321 (eta = (phi, theta, psi), W independent of psi):
 
@@ -59,37 +59,38 @@ def _w_inv_t(sf, cf, st, ct, a, b, c):
             cf * tt * a - sf * b + (cf / ct) * c)
 
 
-def ne_rates_321(y, thrust, tau, params: QuadParams) -> np.ndarray:
+def _rotate(sf, cf, st, ct, sp, cp, x, y, z):
+    """R (x, y, z): body->inertial rotation of a body-frame vector."""
+    return ((cp * ct) * x + (cp * st * sf - sp * cf) * y
+            + (cp * st * cf + sp * sf) * z,
+            (sp * ct) * x + (sp * st * sf + cp * cf) * y
+            + (sp * st * cf - cp * sf) * z,
+            -st * x + (ct * sf) * y + (ct * cf) * z)
+
+
+def ne_rates_321(y, thrust, tau, params: QuadParams) -> list:
     """Newton-Euler derivative; tau is the total body torque incl. gyro."""
     _, _, _, phi, theta, psi, vx, vy, vz, wx, wy, wz = _floats(y)
     sf, cf = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
-    sp, cp = math.sin(psi), math.cos(psi)
     _check_ct(ct, phi, theta, psi)
     tx, ty, tz = _floats(tau)
     g = params.gravity
     jx, jy, jz = params.jx, params.jy, params.jz
 
-    # body->inertial rotation, row major
-    r11 = cp * ct; r12 = cp * st * sf - sp * cf; r13 = cp * st * cf + sp * sf
-    r21 = sp * ct; r22 = sp * st * sf + cp * cf; r23 = sp * st * cf - cp * sf
-    r31 = -st; r32 = ct * sf; r33 = ct * cf
-
-    return np.array([
-        r11 * vx + r12 * vy + r13 * vz,
-        r21 * vx + r22 * vy + r23 * vz,
-        r31 * vx + r32 * vy + r33 * vz,
+    return [
+        *_rotate(sf, cf, st, ct, math.sin(psi), math.cos(psi), vx, vy, vz),
         # eta_dot = W^-1 omega
         *_w_inv(sf, cf, st, ct, wx, wy, wz),
-        # v_dot = T/m e3 - omega x v - g R^T e3
-        -(wy * vz - wz * vy) - g * r31,
-        -(wz * vx - wx * vz) - g * r32,
-        thrust / params.mass - (wx * vy - wy * vx) - g * r33,
+        # v_dot = T/m e3 - omega x v - g R^T e3, R^T e3 = (-st, ct sf, ct cf)
+        -(wy * vz - wz * vy) + g * st,
+        -(wz * vx - wx * vz) - g * (ct * sf),
+        thrust / params.mass - (wx * vy - wy * vx) - g * (ct * cf),
         # omega_dot = J^-1 (tau - omega x J omega)
         (tx - (jz - jy) * wy * wz) / jx,
         (ty - (jx - jz) * wz * wx) / jy,
         (tz - (jy - jx) * wx * wy) / jz,
-    ])
+    ]
 
 
 def _attitude_terms(sf, cf, st, ct, etad, params: QuadParams):
@@ -165,22 +166,22 @@ def _gen_rates(y, thrust, tau, params: QuadParams, revised: bool):
                       -st * tx + sf * ct * ty + cf * ct * tz)
     jr, (c0, c1, c2) = _attitude_terms(sf, cf, st, ct, (fd, td, pd), params)
     tm = thrust / params.mass
-    return np.array([
+    return [
         xd, yd, zd, fd, td, pd,
         # p_dd = T/m R e3 - g e3
         tm * (cp * st * cf + sp * sf),
         tm * (sp * st * cf - cp * sf),
         tm * (ct * cf) - params.gravity,
         *_solve_sym(jr, (tx - c0, ty - c1, tz - c2)),
-    ])
+    ]
 
 
-def el_lit_rates_321(y, thrust, tau, params: QuadParams) -> np.ndarray:
+def el_lit_rates_321(y, thrust, tau, params: QuadParams) -> list:
     """Literature E-L derivative; tau is the body torque incl. gyro."""
     return _gen_rates(y, thrust, tau, params, revised=False)
 
 
-def rel_rates_321(y, thrust, tau, params: QuadParams) -> np.ndarray:
+def rel_rates_321(y, thrust, tau, params: QuadParams) -> list:
     """Revised E-L derivative; the torque enters as W^T tau."""
     return _gen_rates(y, thrust, tau, params, revised=True)
 
@@ -202,21 +203,21 @@ def _gen_omega(y):
     return fd - st * pd, cf * td + sf * ct * pd, -sf * td + cf * ct * pd
 
 
-def ne_derivative_321(y, u, params: QuadParams) -> np.ndarray:
+def ne_derivative_321(y, u, params: QuadParams) -> list:
     thrust, (tx, ty, tz) = mixer(u, params)
     y = _floats(y)
     gx, gy = _gyro_body(y[9:12], u, params)
     return ne_rates_321(y, thrust, (tx + gx, ty + gy, tz), params)
 
 
-def el_lit_derivative_321(y, u, params: QuadParams) -> np.ndarray:
+def el_lit_derivative_321(y, u, params: QuadParams) -> list:
     thrust, (tx, ty, tz) = mixer(u, params)
     y = _floats(y)
     gx, gy = _gyro_body(_gen_omega(y), u, params)
     return el_lit_rates_321(y, thrust, (tx + gx, ty + gy, tz), params)
 
 
-def rel_derivative_321(y, u, params: QuadParams) -> np.ndarray:
+def rel_derivative_321(y, u, params: QuadParams) -> list:
     thrust, (tx, ty, tz) = mixer(u, params)
     y = _floats(y)
     gx, gy = _gyro_body(_gen_omega(y), u, params)

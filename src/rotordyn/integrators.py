@@ -1,9 +1,10 @@
 """Fixed-step explicit integrators with trajectory recording.
 
-Derivative functions have signature f(t, y) -> dy/dt over flat numpy
-state vectors and may raise SingularConfiguration; ``simulate`` turns
-that (and NaN/Inf or runaway states) into a Diverged marker on the
-returned trajectory rather than an exception.
+The state is carried as a list of Python floats: a derivative function
+f(t, y) receives y as a list and returns dy/dt as any length-n sequence
+of numbers.  f may raise SingularConfiguration; ``simulate`` turns that
+(and NaN/Inf or runaway states) into a Diverged marker on the returned
+trajectory rather than an exception.  Only the recorded rows are numpy.
 """
 
 from __future__ import annotations
@@ -34,26 +35,33 @@ class Trajectory:
 
 def step_euler(f, y, t, dt):
     """One forward-Euler step."""
-    return y + dt * f(t, y)
+    return [a + dt * b for a, b in zip(y, f(t, y))]
 
 
 def step_rk4(f, y, t, dt):
-    """One classical fourth-order Runge-Kutta step."""
+    """One classical fourth-order Runge-Kutta step.
+
+    Element by element the arithmetic is that of the array expression
+    y + (dt/6) * (k1 + 2 k2 + 2 k3 + k4), in the same order.
+    """
     half = 0.5 * dt
     k1 = f(t, y)
-    k2 = f(t + half, y + half * k1)
-    k3 = f(t + half, y + half * k2)
-    k4 = f(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(t + half, [a + half * k for a, k in zip(y, k1)])
+    k3 = f(t + half, [a + half * k for a, k in zip(y, k2)])
+    k4 = f(t + dt, [a + dt * k for a, k in zip(y, k3)])
+    c = dt / 6.0
+    return [a + c * (p + 2.0 * q + 2.0 * r + s)
+            for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
 
 
 _STEPPERS = {"euler": step_euler, "rk4": step_rk4}
 
 
 def _bad(y) -> bool:
-    """True for a NaN, an infinite or a runaway (> DIVERGENCE_LIMIT) entry;
-    NaN fails the comparison, so one reduction covers all three."""
-    return not (np.abs(y).max() <= DIVERGENCE_LIMIT)
+    """True for a NaN, an infinite or a runaway (> DIVERGENCE_LIMIT) entry
+    anywhere in ``y``; NaN fails both comparisons."""
+    lim = DIVERGENCE_LIMIT
+    return not all(-lim <= v <= lim for v in y)
 
 
 def simulate(f, y0, t_final, dt, method: str = "rk4") -> Trajectory:
@@ -71,11 +79,11 @@ def simulate(f, y0, t_final, dt, method: str = "rk4") -> Trajectory:
     stepper = _STEPPERS[method]
 
     n_steps = int(np.floor(t_final / dt + 1e-9))
-    y = np.array(y0, dtype=float)
+    y = np.array(y0, dtype=float).tolist()
     if _bad(y):
         raise ValueError("initial state is not finite")
 
-    states = np.empty((n_steps + 1, y.size))
+    states = np.empty((n_steps + 1, len(y)))
     states[0] = y
     for i in range(n_steps):
         t = i * dt

@@ -11,8 +11,9 @@ Three formulations of the same vehicle over a shared parameter set:
   the generalized torque is W^T M, which restores exact equivalence with
   the Newton-Euler attitude dynamics.
 
-State vectors are flat length-12 numpy arrays; see ``GEN_LAYOUT`` /
-``BODY_LAYOUT``.
+State vectors are flat length-12 arrays, sliced by ``P`` and ``ETA``
+(both layouts), ``V`` and ``OMEGA`` (Newton-Euler) and ``PDOT`` and
+``ETADOT`` (Euler-Lagrange).
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ from .kinematics import (
     w_matrix,
     w_partials,
 )
-
-# state[0:3] = p, state[3:6] = eta for both layouts
-GEN_LAYOUT = ("p", "eta", "p_dot", "eta_dot")
-BODY_LAYOUT = ("p", "eta", "v", "omega")
 
 P = slice(0, 3)
 ETA = slice(3, 6)
@@ -150,11 +147,6 @@ def coriolis_matrix(eta, eta_dot, params: QuadParams) -> np.ndarray:
     return jr_dot - 0.5 * g
 
 
-def _wrench(u, params: QuadParams):
-    thrust, torque = mixer(u, params)
-    return thrust, torque
-
-
 def ne_rates(state, thrust, torque, tau_g, params: QuadParams) -> np.ndarray:
     """Newton-Euler state derivative from an explicit wrench."""
     eta = state[ETA]
@@ -174,7 +166,7 @@ def ne_rates(state, thrust, torque, tau_g, params: QuadParams) -> np.ndarray:
 
 def ne_derivative(state, u, params: QuadParams) -> np.ndarray:
     """Newton-Euler model under rotor-speed input."""
-    thrust, torque = _wrench(u, params)
+    thrust, torque = mixer(u, params)
     tau_g = gyro_torque(state[OMEGA], u, params)
     return ne_rates(state, thrust, torque, tau_g, params)
 
@@ -221,12 +213,12 @@ def _gen_gyro(state, u, params: QuadParams) -> np.ndarray:
 
 
 def el_lit_derivative(state, u, params: QuadParams) -> np.ndarray:
-    thrust, torque = _wrench(u, params)
+    thrust, torque = mixer(u, params)
     return el_lit_rates(state, thrust, torque, _gen_gyro(state, u, params), params)
 
 
 def rel_derivative(state, u, params: QuadParams) -> np.ndarray:
-    thrust, torque = _wrench(u, params)
+    thrust, torque = mixer(u, params)
     return rel_rates(state, thrust, torque, _gen_gyro(state, u, params), params)
 
 

@@ -138,6 +138,18 @@ class TestMain:
         lines = out.read_text().splitlines()
         assert lines[0] == "t,e_phi,e_theta,e_psi"
 
+    @pytest.mark.parametrize("command", ["track", "sweep"])
+    def test_closed_loop_echo_shows_gyro_off(self, tmp_path, capsys,
+                                             command):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"[run]\ncommand = {command}\ndt = 0.01\n"
+                     "[params]\ngyro = true\n"
+                     "[helix]\nduration = 0.1\n[sweep]\nki_grid = 8000\n")
+        assert main(["run", "--config", str(p)]) == 0
+        out = capsys.readouterr().out
+        assert "gyro_enabled=False" in out
+        assert "gyro_enabled=True" not in out
+
     def test_reruns_are_byte_identical(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("[run]\ncommand = simulate\nmodel = ne\n"

@@ -198,17 +198,21 @@ class TestSweep:
         text = report.format_text()
         assert "none in grid" in text
 
+    def test_rows_equal_one_tracking_run_per_cell(self, params):
+        spec = HelixSpec(duration=2.0)
+        p = params.with_gyro(False)
+        report = gain_sweep(["el", "rel"], [16e3, 40e3], Gains(), spec, p,
+                            dt=5e-3)
+        for row in report.rows:
+            result = run_tracking(row.compensator, spec,
+                                  Gains(att_ki=row.ki), p, dt=5e-3)
+            assert row.stable is not result.diverged
+            assert row.max_error == result.max_error
+        assert [r.stable for r in report.rows].count(False) >= 1
+
     def test_sweep_runs_grid(self, params):
         spec = HelixSpec(duration=2.0)
         report = gain_sweep(["rel"], [8e3, 10e3], Gains(), spec,
                             params.with_gyro(False), dt=5e-3)
         assert len(report.rows) == 2
         assert [r.ki for r in report.rows] == [8e3, 10e3]
-
-    def test_thread_count_env(self, monkeypatch):
-        monkeypatch.setenv("ROTORDYN_THREADS", "3")
-        assert control._thread_count() == 3
-        monkeypatch.setenv("ROTORDYN_THREADS", "not-a-number")
-        assert control._thread_count() >= 1
-        monkeypatch.delenv("ROTORDYN_THREADS")
-        assert control._thread_count() >= 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rotordyn import fast
 from rotordyn.integrators import (
     DIVERGENCE_LIMIT,
     Trajectory,
@@ -12,6 +13,7 @@ from rotordyn.integrators import (
     step_rk4,
 )
 from rotordyn.kinematics import SingularConfiguration
+from rotordyn.models import QuadParams
 
 
 def exponential(t, y):
@@ -36,6 +38,32 @@ class TestSteps:
                      0.0, 1.0)
         assert y[0] == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("kernel", [fast.ne_derivative_321,
+                                        fast.el_lit_derivative_321,
+                                        fast.rel_derivative_321])
+    def test_rk4_on_float_lists_matches_array_formula(self, kernel):
+        def rk4_array(f, y, t, dt):
+            half = 0.5 * dt
+            k1 = f(t, y)
+            k2 = f(t + half, y + half * k1)
+            k3 = f(t + half, y + half * k2)
+            k4 = f(t + dt, y + dt * k3)
+            return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        params = QuadParams()
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            y0 = rng.uniform(-1.0, 1.0, 12)
+            u = rng.uniform(300.0, 600.0, 4)
+
+            def f(t, y):
+                return kernel(y, u + np.sin(t), params)
+
+            want = rk4_array(lambda t, y: np.array(f(t, y)), y0, 0.3, 0.01)
+            got = step_rk4(f, y0.tolist(), 0.3, 0.01)
+            assert all(type(v) is float for v in got)
+            assert np.array_equal(got, want)
+
 
 class TestDivergenceTest:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
@@ -45,6 +73,17 @@ class TestDivergenceTest:
         y = np.ones(12)
         y[7] = value
         assert _bad(y)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       2.0 * DIVERGENCE_LIMIT,
+                                       -2.0 * DIVERGENCE_LIMIT])
+    def test_flags_bad_float_at_every_position(self, value):
+        for i in range(12):
+            y = [1.0] * 12
+            y[i] = value
+            assert _bad(y), i
+        at_limit = [DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT] * 6
+        assert not _bad(at_limit)
 
     def test_passes_finite_state_at_the_limit(self):
         y = np.full(12, -DIVERGENCE_LIMIT)
@@ -92,7 +131,8 @@ class TestSimulate:
             simulate(exponential, [math.nan], 1.0, 0.1)
 
     def test_marks_runaway_as_diverged(self):
-        traj = simulate(lambda t, y: 100.0 * y, [1.0], 10.0, 0.5)
+        traj = simulate(lambda t, y: [100.0 * v for v in y], [1.0], 10.0,
+                        0.5)
         assert traj.diverged
         assert traj.diverged_step is not None
         assert len(traj) == traj.diverged_step + 1

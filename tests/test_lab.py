@@ -5,6 +5,7 @@ import pytest
 
 from rotordyn import lab
 from rotordyn.integrators import Trajectory
+from rotordyn.kinematics import w_matrix
 from rotordyn.lab import (
     ComparisonConfig,
     RELATION_NAMES,
@@ -45,6 +46,11 @@ class TestRelations:
         # the same relations hold with FD derivatives at FD accuracy
         report = check_relations(n_samples=50, seed=2, tol=1e-6, method="fd")
         assert report.passed
+
+    def test_r7_fails_for_a_wrong_w(self, monkeypatch):
+        monkeypatch.setattr(lab, "w_matrix", lambda eta: w_matrix(eta).T)
+        report = check_relations(n_samples=20, seed=0, tol=1e-9)
+        assert report.residuals["R7"] > report.tol
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
