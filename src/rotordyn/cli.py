@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -65,6 +65,10 @@ class RunConfig:
             return base + amp * math.sin(freq * t)
         return custom
 
+    def comparison(self) -> ComparisonConfig:
+        return ComparisonConfig(dt=self.dt, duration=self.duration,
+                                integrator=self.integrator, params=self.params)
+
     def echo(self) -> str:
         lines = ["effective config:"]
         for f in fields(self):
@@ -73,9 +77,9 @@ class RunConfig:
 
 
 def _parse_sections(text: str):
-    """Key-value sections with line numbers; raises ConfigError on malformed
-    lines or duplicate keys."""
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
+    """Key-value sections, each value with its line; raises ConfigError on
+    malformed lines or duplicate keys."""
+    sections: dict[str, dict[str, tuple[str, str]]] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -92,131 +96,129 @@ def _parse_sections(text: str):
         key, value = (s.strip() for s in line.split("=", 1))
         if key in sections[current]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{current}]")
-        sections[current][key] = (value, lineno)
+        sections[current][key] = (value, f"line {lineno}")
     return sections
 
 
-def _conv(value: str, lineno: int, kind, key: str):
+# Converters: each parses one value string and checks it, raising
+# ValueError with the reason.  Config keys and flags share them.
+
+def _float(text: str) -> float:
     try:
-        if kind is bool:
-            if value.lower() in ("true", "yes", "on", "1"):
-                return True
-            if value.lower() in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(value)
-        if kind is tuple:
-            return tuple(float(v) for v in value.split(","))
-        return kind(value)
+        value = float(text)
     except ValueError:
-        raise ConfigError(
-            f"line {lineno}: cannot parse {key} = {value!r} as {kind.__name__}")
+        raise ValueError("cannot parse as float") from None
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
-_RUN_KEYS = {
-    "command": str, "model": str, "dt": float, "duration": float,
-    "integrator": str, "seed": int, "samples": int, "tol": float,
-    "out": str, "compensator": str,
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("cannot parse as int") from None
+
+
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
+
+
+def _bool(text: str) -> bool:
+    try:
+        return _BOOLS[text.lower()]
+    except KeyError:
+        raise ValueError("cannot parse as bool") from None
+
+
+def _above(conv, low, strict=True):
+    """``conv``, then require a value > low (>= low if not strict)."""
+    def check(text):
+        value = conv(text)
+        if value < low or (strict and value == low):
+            raise ValueError(f"must be {'>' if strict else '>='} {low}")
+        return value
+    return check
+
+
+def _choice(*options):
+    def check(text):
+        if text not in options:
+            raise ValueError(f"must be one of {', '.join(options)}")
+        return text
+    return check
+
+
+def _list(conv, n=None):
+    """Comma-separated values, each through ``conv``; ``n`` fixes the count."""
+    def check(text):
+        items = tuple(conv(item.strip()) for item in text.split(","))
+        if n is not None and len(items) != n:
+            raise ValueError(f"needs {n} entries, got {len(items)}")
+        return items
+    return check
+
+
+_SECTIONS = {
+    "run": {
+        "command": _choice(*COMMANDS), "model": _choice("ne", "el", "rel"),
+        "dt": _above(_float, 0), "duration": _above(_float, 0),
+        "integrator": _choice("euler", "rk4"),
+        "seed": _above(_int, 0, strict=False), "samples": _above(_int, 0),
+        "tol": _float, "out": str, "compensator": _choice("el", "rel"),
+    },
+    "params": {
+        **{k: _float for k in ("mass", "jx", "jy", "jz", "gravity", "arm",
+                               "thrust_coeff", "drag_coeff", "rotor_inertia")},
+        "gyro": _bool,
+    },
+    "gains": {k: _float for k in
+              ("pos_kp", "pos_ki", "pos_kd", "att_kp", "att_ki", "att_kd")},
+    "helix": {"radius": _float, "rate": _float, "climb": _float,
+              "yaw": _float, "yaw_mode": str},
+    "input": {"preset": _choice("drifting", "custom"),
+              "base": _list(_float, 4), "amp": _list(_float, 4),
+              "freq": _float},
+    "sweep": {"ki_grid": _list(_above(_float, 0, strict=False)),
+              "compensators": _list(_choice("el", "rel"))},
 }
-_PARAM_KEYS = {
-    "mass": float, "jx": float, "jy": float, "jz": float, "gravity": float,
-    "arm": float, "thrust_coeff": float, "drag_coeff": float,
-    "rotor_inertia": float, "gyro": bool,
-}
-_GAIN_KEYS = {k: float for k in
-              ("pos_kp", "pos_ki", "pos_kd", "att_kp", "att_ki", "att_kd")}
-_HELIX_KEYS = {"radius": float, "rate": float, "climb": float,
-               "yaw": float, "yaw_mode": str, "duration": float}
-_INPUT_KEYS = {"preset": str, "base": tuple, "amp": tuple, "freq": float}
-_SWEEP_KEYS = {"ki_grid": tuple, "compensators": str}
+
+# Flags that set a [run] key, through the same converters
+_FLAGS = ("out", "seed", "dt", "duration", "integrator")
 
 
-def _take(section: dict, known: dict, section_name: str):
+def _take(section: dict, known: dict, section_name: str) -> dict:
+    """Convert each ``key: (value, where)`` entry with its converter."""
     out = {}
-    for key, (value, lineno) in section.items():
+    for key, (value, where) in section.items():
         if key not in known:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section_name}]")
-        out[key] = _conv(value, lineno, known[key], key)
+            raise ConfigError(f"{where}: unknown key {key!r} in [{section_name}]")
+        try:
+            out[key] = known[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {key} = {value!r}: {exc}") from None
     return out
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config file into a RunConfig."""
     sections = _parse_sections(text)
-    known_sections = {"run", "params", "gains", "helix", "input", "sweep"}
     for name in sections:
-        if name not in known_sections:
+        if name not in _SECTIONS:
             raise ConfigError(f"unknown section [{name}]")
-
-    cfg = RunConfig()
-    run = _take(sections.get("run", {}), _RUN_KEYS, "run")
-    for key, value in run.items():
-        setattr(cfg, key, value)
-
-    pk = _take(sections.get("params", {}), _PARAM_KEYS, "params")
-    if "gyro" in pk:
-        pk["gyro_enabled"] = pk.pop("gyro")
-    try:
-        cfg.params = QuadParams(**pk)
-    except ValueError as exc:
-        raise ConfigError(f"[params]: {exc}")
-
-    gk = _take(sections.get("gains", {}), _GAIN_KEYS, "gains")
-    try:
-        cfg.gains = control.Gains(**gk)
-    except ValueError as exc:
-        raise ConfigError(f"[gains]: {exc}")
-
-    hk = _take(sections.get("helix", {}), _HELIX_KEYS, "helix")
-    try:
-        cfg.helix = control.HelixSpec(**hk)
-    except ValueError as exc:
-        raise ConfigError(f"[helix]: {exc}")
-
-    ik = _take(sections.get("input", {}), _INPUT_KEYS, "input")
-    cfg.input_preset = ik.get("preset", cfg.input_preset)
-    if cfg.input_preset not in ("drifting", "custom"):
-        raise ConfigError(f"[input]: preset must be drifting or custom, "
-                          f"got {cfg.input_preset!r}")
-    if "base" in ik:
-        cfg.input_base = ik["base"]
-    if "amp" in ik:
-        cfg.input_amp = ik["amp"]
-    if "freq" in ik:
-        cfg.input_freq = ik["freq"]
-    if len(cfg.input_base) != 4 or len(cfg.input_amp) != 4:
-        raise ConfigError("[input]: base and amp need four entries")
-
-    sk = _take(sections.get("sweep", {}), _SWEEP_KEYS, "sweep")
-    if "ki_grid" in sk:
-        cfg.ki_grid = sk["ki_grid"]
-    if "compensators" in sk:
-        cfg.compensators = tuple(s.strip() for s in sk["compensators"].split(","))
-
-    _validate(cfg)
+    got = {name: _take(sections.get(name, {}), known, name)
+           for name, known in _SECTIONS.items()}
+    cfg = RunConfig(**got["run"], **got["sweep"],
+                    **{f"input_{k}": v for k, v in got["input"].items()})
+    if "gyro" in got["params"]:
+        got["params"]["gyro_enabled"] = got["params"].pop("gyro")
+    for name, cls in (("params", QuadParams), ("gains", control.Gains),
+                      ("helix", control.HelixSpec)):
+        try:
+            setattr(cfg, name, cls(**got[name]))
+        except ValueError as exc:
+            raise ConfigError(f"[{name}]: {exc}") from None
     return cfg
-
-
-def _validate(cfg: RunConfig):
-    if cfg.command and cfg.command not in COMMANDS:
-        raise ConfigError(f"unknown command {cfg.command!r}, "
-                          f"expected one of {', '.join(COMMANDS)}")
-    if cfg.dt <= 0:
-        raise ConfigError(f"dt must be positive, got {cfg.dt}")
-    if cfg.duration <= 0:
-        raise ConfigError(f"duration must be positive, got {cfg.duration}")
-    if cfg.integrator not in ("euler", "rk4"):
-        raise ConfigError(f"integrator must be euler or rk4, got {cfg.integrator!r}")
-    if cfg.model not in ("ne", "el", "rel"):
-        raise ConfigError(f"model must be ne, el or rel, got {cfg.model!r}")
-    if cfg.compensator not in ("el", "rel"):
-        raise ConfigError(f"compensator must be el or rel, got {cfg.compensator!r}")
-    if cfg.samples <= 0:
-        raise ConfigError(f"samples must be positive, got {cfg.samples}")
-    if not cfg.ki_grid:
-        raise ConfigError("ki_grid must be nonempty")
-    for comp in cfg.compensators:
-        if comp not in ("el", "rel"):
-            raise ConfigError(f"unknown compensator {comp!r} in sweep list")
 
 
 def _write_rows(rows, path: str):
@@ -228,60 +230,36 @@ def _write_rows(rows, path: str):
         raise ConfigError(f"cannot write {path!r}: {exc}")
 
 
-def emit_trajectory_csv(traj, path: str):
-    """Trajectory as CSV with the documented 13-column layout."""
+def _write_series(header, times, values, path: str):
+    """Time series as CSV: the header, then t and one vector per row."""
     def rows():
-        yield TRAJECTORY_HEADER
-        for t, s in zip(traj.times, traj.states):
-            yield [repr(float(t))] + [repr(float(v)) for v in s]
-    _write_rows(rows(), path)
-
-
-def emit_table_csv(table, path: str):
-    _write_rows(table.csv_rows(), path)
-
-
-def emit_tracking_csv(result, path: str):
-    def rows():
-        yield ERROR_HEADER
-        for t, e in zip(result.times, result.attitude_error):
-            yield [repr(float(t))] + [repr(float(v)) for v in e]
+        yield header
+        for t, v in zip(times, values):
+            yield [repr(float(t))] + [repr(float(x)) for x in v]
     _write_rows(rows(), path)
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
-    comparison = ComparisonConfig(dt=cfg.dt, duration=cfg.duration,
-                                  integrator=cfg.integrator, params=cfg.params)
-    traj = lab.simulate_model(cfg.model, cfg.input_fn(), comparison)
+    traj = lab.simulate_model(cfg.model, cfg.input_fn(), cfg.comparison())
     if cfg.model == "ne":
         traj = lab._as_gen(traj)
     if traj.diverged:
         print(f"diverged at step {traj.diverged_step}: {traj.diverged_reason}")
     if cfg.out:
-        emit_trajectory_csv(traj, cfg.out)
+        _write_series(TRAJECTORY_HEADER, traj.times, traj.states, cfg.out)
         print(f"wrote {len(traj)} samples to {cfg.out}")
     return 0
 
 
-def _cmd_compare(cfg: RunConfig) -> int:
-    table = lab.run_model_comparison(
-        ComparisonConfig(dt=cfg.dt, duration=cfg.duration,
-                         integrator=cfg.integrator, params=cfg.params),
-        cfg.input_fn())
+def _cmd_table(cfg: RunConfig) -> int:
+    """compare: both E-L variants against Newton-Euler; oracle: all three
+    models against the refined-step reference."""
+    run = (lab.run_model_comparison if cfg.command == "compare"
+           else lab.run_oracle_comparison)
+    table = run(cfg.comparison(), cfg.input_fn())
     print(table.format_text())
     if cfg.out:
-        emit_table_csv(table, cfg.out)
-    return 0
-
-
-def _cmd_oracle(cfg: RunConfig) -> int:
-    table = lab.run_oracle_comparison(
-        ComparisonConfig(dt=cfg.dt, duration=cfg.duration,
-                         integrator=cfg.integrator, params=cfg.params),
-        cfg.input_fn())
-    print(table.format_text())
-    if cfg.out:
-        emit_table_csv(table, cfg.out)
+        _write_rows(table.csv_rows(), cfg.out)
     return 0
 
 
@@ -304,7 +282,8 @@ def _cmd_track(cfg: RunConfig) -> int:
     print(f"{cfg.compensator} compensator: {status}, "
           f"max|e_eta| = {result.max_error:.4e}")
     if cfg.out:
-        emit_tracking_csv(result, cfg.out)
+        _write_series(ERROR_HEADER, result.times, result.attitude_error,
+                      cfg.out)
     return 0
 
 
@@ -319,8 +298,8 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 
 _DISPATCH = {
     "simulate": _cmd_simulate,
-    "compare": _cmd_compare,
-    "oracle": _cmd_oracle,
+    "compare": _cmd_table,
+    "oracle": _cmd_table,
     "verify": _cmd_verify,
     "track": _cmd_track,
     "sweep": _cmd_sweep,
@@ -336,10 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="experiment to run ('run' takes it from the config)")
     parser.add_argument("--config", help="path to config file")
     parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--seed", type=int, help="sampling seed")
-    parser.add_argument("--dt", type=float, help="integration step [s]")
-    parser.add_argument("--duration", type=float, help="simulated time [s]")
-    parser.add_argument("--integrator", choices=("euler", "rk4"))
+    parser.add_argument("--seed", help="sampling seed")
+    parser.add_argument("--dt", help="integration step [s]")
+    parser.add_argument("--duration", help="simulated time [s]")
+    parser.add_argument("--integrator", help="euler or rk4")
     return parser
 
 
@@ -357,16 +336,18 @@ def main(argv=None) -> int:
             cfg = RunConfig()
         if args.command and args.command != "run":
             cfg.command = args.command
-        for name in ("out", "seed", "dt", "duration", "integrator"):
-            value = getattr(args, name)
-            if value is not None:
-                setattr(cfg, name, value)
+        flags = {name: (value, f"--{name}") for name in _FLAGS
+                 if (value := getattr(args, name)) is not None}
+        cfg = replace(cfg, **_take(flags, _SECTIONS["run"], "run"))
         if not cfg.command:
             raise ConfigError("no command given (flag or [run] command = ...)")
-        _validate(cfg)
         if cfg.command in ("track", "sweep"):
+            if cfg.integrator != "rk4":
+                raise ConfigError(f"{cfg.command} integrates with rk4 only, "
+                                  f"got integrator = {cfg.integrator!r}")
             # the closed loop commands the wrench: no rotor gyroscopic torque
             cfg.params = cfg.params.with_gyro(False)
+            cfg.helix = replace(cfg.helix, duration=cfg.duration)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

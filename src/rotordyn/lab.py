@@ -9,7 +9,7 @@ dynamics engine; outputs label it as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -275,9 +275,8 @@ _MODEL_FNS = {
 }
 
 
-def simulate_model(model: str, input_fn, cfg: ComparisonConfig,
-                   y0=None) -> Trajectory:
-    """Simulate one named model under a rotor-speed input function."""
+def simulate_model(model: str, input_fn, cfg: ComparisonConfig) -> Trajectory:
+    """Simulate one named model from rest under a rotor-speed input function."""
     if model not in _MODEL_FNS:
         raise ValueError(f"unknown model {model!r}, expected ne, el or rel")
     deriv = _MODEL_FNS[model]
@@ -286,9 +285,7 @@ def simulate_model(model: str, input_fn, cfg: ComparisonConfig,
     def f(t, y):
         return deriv(y, input_fn(t), params)
 
-    if y0 is None:
-        y0 = np.zeros(12)
-    return simulate(f, y0, cfg.duration, cfg.dt, cfg.integrator)
+    return simulate(f, np.zeros(12), cfg.duration, cfg.dt, cfg.integrator)
 
 
 def _as_gen(traj: Trajectory) -> Trajectory:
@@ -339,10 +336,7 @@ def run_oracle_comparison(cfg: ComparisonConfig,
     dt / oracle_refinement, subsampled back onto the run grid.  It stands
     in for an external multibody engine.
     """
-    ref_cfg = ComparisonConfig(dt=cfg.dt / cfg.oracle_refinement,
-                               duration=cfg.duration, integrator="rk4",
-                               params=cfg.params,
-                               oracle_refinement=cfg.oracle_refinement)
+    ref_cfg = replace(cfg, dt=cfg.dt / cfg.oracle_refinement, integrator="rk4")
     oracle = _as_gen(_subsample(simulate_model("ne", input_fn, ref_cfg),
                                 cfg.oracle_refinement, cfg.dt))
     ne = _as_gen(simulate_model("ne", input_fn, cfg))

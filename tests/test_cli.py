@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(body)
 
+    @pytest.mark.parametrize("body, reason", [
+        ("[params]\nmass = nan\n", "must be finite"),
+        ("[gains]\natt_kp = nan\n", "must be finite"),
+        ("[helix]\nradius = nan\n", "must be finite"),
+        ("[input]\nfreq = -inf\n", "must be finite"),
+        ("[run]\nseed = -3\n", "must be >= 0"),
+        ("[sweep]\nki_grid = 8000, -1\n", "must be >= 0"),
+        ("[helix]\nduration = 60\n", "unknown key 'duration'"),
+    ])
+    def test_rejects_with_reason(self, body, reason):
+        with pytest.raises(ConfigError, match=reason):
+            parse_config(body)
+
     def test_input_fn_drifting_preset(self):
         cfg = parse_config("[input]\npreset = drifting\n")
         assert np.allclose(cfg.input_fn()(0.0),
@@ -102,6 +117,27 @@ class TestMain:
         p.write_text("[run]\ncommand = compare\nduration = 1\ndt = 0.05\n")
         assert main(["run", "--config", str(p), "--dt", "0.02"]) == 0
         assert "dt = 0.02" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--dt", "nan"],
+        ["compare", "--duration", "inf", "--dt", "0.5"],
+        ["verify", "--seed", "-1"],
+        ["simulate", "--integrator", "heun"],
+    ])
+    def test_bad_flag_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["track", "sweep"])
+    @pytest.mark.parametrize("by_flag", [False, True])
+    def test_closed_loop_is_rk4_only(self, tmp_path, capsys, command,
+                                     by_flag):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"[run]\ncommand = {command}\ndt = 0.5\n"
+                     + ("" if by_flag else "integrator = euler\n"))
+        flag = ["--integrator", "euler"] if by_flag else []
+        assert main(["run", "--config", str(p)] + flag) == 2
+        assert "rk4 only" in capsys.readouterr().err
 
     def test_verify_passes_on_defaults(self, capsys):
         assert main(["verify"]) == 0
@@ -133,7 +169,7 @@ class TestMain:
         out = tmp_path / "err.csv"
         p = tmp_path / "c.cfg"
         p.write_text("[run]\ncommand = track\ndt = 0.005\n"
-                     "[helix]\nduration = 1\n")
+                     "duration = 1\n")
         assert main(["run", "--config", str(p), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "t,e_phi,e_theta,e_psi"
@@ -143,8 +179,8 @@ class TestMain:
                                              command):
         p = tmp_path / "c.cfg"
         p.write_text(f"[run]\ncommand = {command}\ndt = 0.01\n"
-                     "[params]\ngyro = true\n"
-                     "[helix]\nduration = 0.1\n[sweep]\nki_grid = 8000\n")
+                     "duration = 0.1\n[params]\ngyro = true\n"
+                     "[sweep]\nki_grid = 8000\n")
         assert main(["run", "--config", str(p)]) == 0
         out = capsys.readouterr().out
         assert "gyro_enabled=False" in out
@@ -186,3 +222,20 @@ def test_repo_configs_parse():
     for path in found:
         cfg = parse_config(path.read_text())
         assert cfg.command in cli.COMMANDS
+
+
+CONFIGS = sorted(
+    (pathlib.Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_runs(tmp_path, capsys, path):
+    out = tmp_path / "out.csv"
+    assert main(["run", "--config", str(path), "--duration", "0.02",
+                 "--out", str(out)]) == 0
+    echo = capsys.readouterr().out
+    if parse_config(path.read_text()).command in ("track", "sweep"):
+        assert "duration=0.02)" in echo  # helix.duration follows --duration
+    if path.name == "fig1.cfg":
+        last = out.read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) == pytest.approx(0.02)
