@@ -55,25 +55,36 @@ class RunConfig:
     compensators: tuple = ("el", "rel")
 
     def input_fn(self):
-        if self.input_preset == "drifting":
-            return lab.drifting_rotor_input
+        """u(t) = base + amp sin(freq t); the defaults are the drifting
+        preset, ``lab.drifting_rotor_input``."""
         base = np.array(self.input_base)
         amp = np.array(self.input_amp)
         freq = self.input_freq
 
-        def custom(t):
+        def rotor_input(t):
             return base + amp * math.sin(freq * t)
-        return custom
+        return rotor_input
 
     def comparison(self) -> ComparisonConfig:
         return ComparisonConfig(dt=self.dt, duration=self.duration,
                                 integrator=self.integrator, params=self.params)
 
     def echo(self) -> str:
-        lines = ["effective config:"]
-        for f in fields(self):
-            lines.append(f"  {f.name} = {getattr(self, f.name)}")
-        return "\n".join(lines)
+        """The command and the fields it reads, with their values."""
+        used = ("command",) + READS[self.command]
+        return "\n".join(["effective config:"] + [
+            f"  {f.name} = {getattr(self, f.name)}" for f in fields(self)
+            if f.name in used])
+
+
+# The RunConfig fields each command reads
+_OPEN_LOOP = ("dt", "duration", "integrator", "out", "params", "input_preset",
+              "input_base", "input_amp", "input_freq")
+_CLOSED_LOOP = ("dt", "integrator", "out", "params", "gains", "helix")
+READS = {"simulate": ("model",) + _OPEN_LOOP, "compare": _OPEN_LOOP,
+         "oracle": _OPEN_LOOP, "verify": ("seed", "samples", "tol", "params"),
+         "track": ("compensator",) + _CLOSED_LOOP,
+         "sweep": ("ki_grid", "compensators") + _CLOSED_LOOP}
 
 
 def _parse_sections(text: str):
@@ -185,6 +196,7 @@ _SECTIONS = {
 
 # Flags that set a [run] key, through the same converters
 _FLAGS = ("out", "seed", "dt", "duration", "integrator")
+_VALUE_OPTIONS = ("--config",) + tuple(f"--{name}" for name in _FLAGS)
 
 
 def _take(section: dict, known: dict, section_name: str) -> dict:
@@ -208,6 +220,10 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"unknown section [{name}]")
     got = {name: _take(sections.get(name, {}), known, name)
            for name, known in _SECTIONS.items()}
+    if got["input"].keys() & {"base", "amp", "freq"}:
+        if got["input"].setdefault("preset", "custom") == "drifting":
+            raise ConfigError("[input]: preset = drifting takes no base, amp "
+                              "or freq; use preset = custom")
     cfg = RunConfig(**got["run"], **got["sweep"],
                     **{f"input_{k}": v for k, v in got["input"].items()})
     if "gyro" in got["params"]:
@@ -322,8 +338,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_values(argv):
+    """``--flag -value`` as ``--flag=-value``: argparse takes a value that
+    starts with '-' and is not a plain negative number (``--dt -1e-3``,
+    ``--dt -inf``) for an option; joined, it reaches the flag's converter."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] in _VALUE_OPTIONS and arg.startswith("-")
+                and not arg.startswith("--") and arg != "-h"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _attach_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.config:
             try:

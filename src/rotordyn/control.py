@@ -17,6 +17,7 @@ import numpy as np
 
 from .fast import (
     _attitude_terms,
+    _check_ct,
     _floats,
     _rotate,
     _w_inv,
@@ -24,12 +25,7 @@ from .fast import (
     ne_rates_321,
 )
 from .integrators import _bad, step_rk4
-from .kinematics import (
-    SINGULARITY_TOL,
-    SingularConfiguration,
-    rotation,
-    w_matrix,
-)
+from .kinematics import SingularConfiguration, rotation, w_matrix
 from .models import QuadParams
 
 MAX_TILT = math.radians(60.0)
@@ -92,13 +88,12 @@ def helix_reference(t: float, spec: HelixSpec):
 
 
 def position_outer_loop(p, p_dot, p_ref, pd_ref, pdd_ref, psi_ref,
-                        int_err, gains: Gains, params: QuadParams,
-                        max_tilt: float = MAX_TILT):
+                        int_err, gains: Gains, params: QuadParams):
     """Thrust magnitude and attitude reference from the commanded acceleration.
 
     The commanded specific force f = a_cmd + g e3 is realized by tilting the
     body z axis onto f; raises InfeasibleAttitude if that needs more than
-    ``max_tilt`` or a non-positive vertical component.  Returns
+    ``MAX_TILT`` or a non-positive vertical component.  Returns
     ``(thrust, (phi_ref, theta_ref, psi_ref))`` as floats.
     """
     kp, ki, kd = gains.pos_kp, gains.pos_ki, gains.pos_kd
@@ -109,10 +104,10 @@ def position_outer_loop(p, p_dot, p_ref, pd_ref, pdd_ref, psi_ref,
     f[2] += params.gravity
     fx, fy, fz = f
     norm = math.hypot(fx, fy, fz)
-    if fz <= 0.0 or fz / norm < math.cos(max_tilt):
+    if fz <= 0.0 or fz / norm < math.cos(MAX_TILT):
         raise InfeasibleAttitude(
             f"commanded specific force {f} exceeds tilt limit "
-            f"{math.degrees(max_tilt):.0f} deg")
+            f"{math.degrees(MAX_TILT):.0f} deg")
     u0, u1, u2 = fx / norm, fy / norm, fz / norm
     sp, cp = math.sin(psi_ref), math.cos(psi_ref)
     phi_ref = -math.asin(-sp * u0 + cp * u1)
@@ -140,8 +135,7 @@ def attitude_fl_pid(compensator: str, eta, eta_dot, eta_ref, etad_ref,
                       _floats(etadd_ref), _floats(int_err))]
     sf, cf = math.sin(eta[0]), math.cos(eta[0])
     st, ct = math.sin(eta[1]), math.cos(eta[1])
-    if abs(ct) <= SINGULARITY_TOL:
-        raise SingularConfiguration(f"gimbal lock in controller at eta={eta}")
+    _check_ct(ct, *eta)
     (j11, j12, j13, j22, j23, j33), (c0, c1, c2) = _attitude_terms(
         sf, cf, st, ct, eta_dot, params)
     tau = (j11 * n0 + j12 * n1 + j13 * n2 + c0,
@@ -203,12 +197,11 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
         t = i * dt
         p_ref, pd_ref, pdd_ref, psi_ref = helix_reference(t, spec)
         eta = y[3:6]
-        p_dot = _inertial_velocity(y)
         try:
+            p_dot, eta_dot = _generalized_rates(y)
             thrust, eta_ref = position_outer_loop(
                 y[0:3], p_dot, p_ref, pd_ref, pdd_ref, psi_ref,
                 pos_int, gains, params)
-            eta_dot = _euler_rates(y)
             torque = attitude_fl_pid(compensator, eta, eta_dot, eta_ref,
                                      zero3, zero3, att_int, gains, params)
         except (InfeasibleAttitude, SingularConfiguration) as exc:
@@ -263,21 +256,15 @@ def _reference_start(spec: HelixSpec, gains: Gains,
     return y
 
 
-def _euler_rates(y):
-    """Euler-angle rates W^-1 omega of a plant state, as floats."""
-    _, _, _, phi, theta, _, _, _, _, wx, wy, wz = _floats(y)
-    ct = math.cos(theta)
-    if abs(ct) <= SINGULARITY_TOL:
-        raise SingularConfiguration(f"gimbal lock at eta={y[3:6]}")
-    return _w_inv(math.sin(phi), math.cos(phi), math.sin(theta), ct,
-                  wx, wy, wz)
-
-
-def _inertial_velocity(y):
-    """Inertial velocity R v of a plant state, as floats."""
-    _, _, _, phi, theta, psi, vx, vy, vz, _, _, _ = _floats(y)
-    return _rotate(math.sin(phi), math.cos(phi), math.sin(theta),
-                   math.cos(theta), math.sin(psi), math.cos(psi), vx, vy, vz)
+def _generalized_rates(y):
+    """Inertial velocity R v and Euler-angle rates W^-1 omega of a plant
+    state, as float tuples; raises SingularConfiguration at gimbal lock."""
+    _, _, _, phi, theta, psi, vx, vy, vz, wx, wy, wz = _floats(y)
+    sf, cf = math.sin(phi), math.cos(phi)
+    st, ct = math.sin(theta), math.cos(theta)
+    _check_ct(ct, phi, theta, psi)
+    return (_rotate(sf, cf, st, ct, math.sin(psi), math.cos(psi), vx, vy, vz),
+            _w_inv(sf, cf, st, ct, wx, wy, wz))
 
 
 @dataclass

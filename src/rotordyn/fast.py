@@ -152,15 +152,19 @@ def _solve_sym(jr, rhs):
             (i13 * r0 + i23 * r1 + i33 * r2) / det)
 
 
-def _gen_rates(y, thrust, tau, params: QuadParams, revised: bool):
+def _gen_rates(y, thrust, tau, params: QuadParams, revised: bool, u=None):
     """E-L derivative: generalized torque tau (literature) or W^T tau
-    (revised)."""
+    (revised).  With rotor speeds ``u`` the rotor gyroscopic torque at
+    omega = W eta_dot is added to tau first."""
     _, _, _, phi, theta, psi, xd, yd, zd, fd, td, pd = _floats(y)
     sf, cf = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
     sp, cp = math.sin(psi), math.cos(psi)
     _check_ct(ct, phi, theta, psi)
     tx, ty, tz = _floats(tau)
+    if u is not None:
+        gx, gy = _gyro_body(fd - st * pd, cf * td + sf * ct * pd, u, params)
+        tx, ty = tx + gx, ty + gy
     if revised:  # generalized torque W^T tau
         tx, ty, tz = (tx, cf * ty - sf * tz,
                       -st * tx + sf * ct * ty + cf * ct * tz)
@@ -176,49 +180,33 @@ def _gen_rates(y, thrust, tau, params: QuadParams, revised: bool):
     ]
 
 
-def el_lit_rates_321(y, thrust, tau, params: QuadParams) -> list:
-    """Literature E-L derivative; tau is the body torque incl. gyro."""
-    return _gen_rates(y, thrust, tau, params, revised=False)
-
-
 def rel_rates_321(y, thrust, tau, params: QuadParams) -> list:
     """Revised E-L derivative; the torque enters as W^T tau."""
     return _gen_rates(y, thrust, tau, params, revised=True)
 
 
-def _gyro_body(omega, u, params: QuadParams):
-    """Rotor gyroscopic torque (x, y components; z is zero) as floats."""
+def _gyro_body(wx, wy, u, params: QuadParams):
+    """Rotor gyroscopic torque (x, y components; z is zero) at body rates
+    (wx, wy, .), as floats."""
     if not params.gyro_enabled or params.rotor_inertia == 0.0:
         return 0.0, 0.0
     s = params.rotor_inertia * relative_rotor_speed(_floats(u))
     # omega x e3 = (wy, -wx, 0)
-    return s * omega[1], -s * omega[0]
-
-
-def _gen_omega(y):
-    """Body angular velocity W eta_dot of a float generalized state."""
-    sf, cf = math.sin(y[3]), math.cos(y[3])
-    st, ct = math.sin(y[4]), math.cos(y[4])
-    fd, td, pd = y[9], y[10], y[11]
-    return fd - st * pd, cf * td + sf * ct * pd, -sf * td + cf * ct * pd
+    return s * wy, -s * wx
 
 
 def ne_derivative_321(y, u, params: QuadParams) -> list:
     thrust, (tx, ty, tz) = mixer(u, params)
     y = _floats(y)
-    gx, gy = _gyro_body(y[9:12], u, params)
+    gx, gy = _gyro_body(y[9], y[10], u, params)
     return ne_rates_321(y, thrust, (tx + gx, ty + gy, tz), params)
 
 
 def el_lit_derivative_321(y, u, params: QuadParams) -> list:
-    thrust, (tx, ty, tz) = mixer(u, params)
-    y = _floats(y)
-    gx, gy = _gyro_body(_gen_omega(y), u, params)
-    return el_lit_rates_321(y, thrust, (tx + gx, ty + gy, tz), params)
+    thrust, tau = mixer(u, params)
+    return _gen_rates(y, thrust, tau, params, revised=False, u=u)
 
 
 def rel_derivative_321(y, u, params: QuadParams) -> list:
-    thrust, (tx, ty, tz) = mixer(u, params)
-    y = _floats(y)
-    gx, gy = _gyro_body(_gen_omega(y), u, params)
-    return rel_rates_321(y, thrust, (tx + gx, ty + gy, tz), params)
+    thrust, tau = mixer(u, params)
+    return _gen_rates(y, thrust, tau, params, revised=True, u=u)

@@ -9,7 +9,7 @@ trajectory rather than an exception.  Only the recorded rows are numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -110,16 +110,17 @@ def w_det(eta, seq=DEFAULT_SEQUENCE) -> float:
     return _det3(w_matrix(eta, seq))
 
 
-def w_inverse(eta, seq=DEFAULT_SEQUENCE, tol: float = SINGULARITY_TOL) -> np.ndarray:
+def w_inverse(eta, seq=DEFAULT_SEQUENCE) -> np.ndarray:
     """Inverse map, eta_dot = w_inverse(eta) @ omega.
 
-    Raises SingularConfiguration when |det W| <= tol.
+    Raises SingularConfiguration when |det W| <= SINGULARITY_TOL.
     """
     w = w_matrix(eta, seq)
     det = _det3(w)
-    if abs(det) <= tol:
+    if abs(det) <= SINGULARITY_TOL:
         raise SingularConfiguration(
-            f"|det W| = {abs(det):.3e} <= {tol:.1e} at eta = {tuple(eta)}")
+            f"|det W| = {abs(det):.3e} <= {SINGULARITY_TOL:.1e} "
+            f"at eta = {tuple(eta)}")
     return _inv3(w, det)
 
 
@@ -153,42 +154,39 @@ def w_dot(eta, eta_dot, seq=DEFAULT_SEQUENCE) -> np.ndarray:
     return dw[0] * eta_dot[0] + dw[1] * eta_dot[1] + dw[2] * eta_dot[2]
 
 
-def w_inverse_partials(eta, seq=DEFAULT_SEQUENCE,
-                       tol: float = SINGULARITY_TOL) -> np.ndarray:
+def w_inverse_partials(eta, seq=DEFAULT_SEQUENCE) -> np.ndarray:
     """Analytic partials d(W^-1)/d(eta_k), shape (3, 3, 3), via
     d(W^-1) = -W^-1 dW W^-1."""
-    winv = w_inverse(eta, seq, tol)
+    winv = w_inverse(eta, seq)
     dw = w_partials(eta, seq)
     return np.stack([-winv @ dw[k] @ winv for k in range(3)])
 
 
-def w_inverse_dot(eta, eta_dot, seq=DEFAULT_SEQUENCE,
-                  tol: float = SINGULARITY_TOL) -> np.ndarray:
+def w_inverse_dot(eta, eta_dot, seq=DEFAULT_SEQUENCE) -> np.ndarray:
     """Analytic time derivative of W^-1 along eta(t)."""
-    dwi = w_inverse_partials(eta, seq, tol)
+    dwi = w_inverse_partials(eta, seq)
     return dwi[0] * eta_dot[0] + dwi[1] * eta_dot[1] + dwi[2] * eta_dot[2]
 
 
-def row_jacobians(eta, seq=DEFAULT_SEQUENCE,
-                  tol: float = SINGULARITY_TOL) -> np.ndarray:
+def row_jacobians(eta, seq=DEFAULT_SEQUENCE) -> np.ndarray:
     """Jacobians P_i of the rows of W^-1, shape (3, 3, 3).
 
     P[i][j, k] = d (W^-1)[i, j] / d eta_k, i.e. the Jacobian of row i of
     W^-1 viewed as a column vector.
     """
-    dwi = w_inverse_partials(eta, seq, tol)
+    dwi = w_inverse_partials(eta, seq)
     # dwi[k][i, j] -> P[i][j, k]
     return np.transpose(dwi, (1, 2, 0))
 
 
-def sigma_w_inv(eta, seq=DEFAULT_SEQUENCE, tol: float = SINGULARITY_TOL):
+def sigma_w_inv(eta, seq=DEFAULT_SEQUENCE):
     """The three stacked blocks of Sigma(W^-1).
 
     Block i is P_i @ W^-1 minus its transpose, which collapses to the
     skew-symmetric matrix of row i of W^-1.
     """
-    winv = w_inverse(eta, seq, tol)
-    p = row_jacobians(eta, seq, tol)
+    winv = w_inverse(eta, seq)
+    p = row_jacobians(eta, seq)
     blocks = []
     for i in range(3):
         m = p[i] @ winv

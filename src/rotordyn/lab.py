@@ -30,10 +30,8 @@ from .models import (
     ETADOT,
     QuadParams,
     body_to_gen,
-    coriolis_matrix,
     el_lit_rates,
     rel_rates,
-    rotated_inertia,
 )
 
 GROUPS = {"p": slice(0, 3), "eta": slice(3, 6),

@@ -18,14 +18,12 @@ State vectors are flat length-12 arrays, sliced by ``P`` and ``ETA``
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .kinematics import (
     E3,
-    SINGULARITY_TOL,
     rotation,
     skew,
     w_dot,
@@ -176,35 +174,34 @@ def _position_accel(eta, thrust, params: QuadParams) -> np.ndarray:
     return (thrust / params.mass) * (r @ E3) - params.gravity * E3
 
 
-def el_lit_rates(state, thrust, torque, tau_g, params: QuadParams) -> np.ndarray:
-    """Literature Euler-Lagrange derivative: generalized torque taken as M."""
+def _gen_rates(state, thrust, torque, tau_g, params: QuadParams, revised):
+    """Euler-Lagrange derivative.  The two models differ only in the
+    generalized torque: W^T (M + tau_g) if revised, else M + tau_g."""
     eta = state[ETA]
     eta_dot = state[ETADOT]
+    w = w_matrix(eta)
     w_inverse(eta)  # singularity guard; J_R is singular with W
-    jr = rotated_inertia(eta, params)
+    jr = w.T @ params.inertia @ w
     c = coriolis_matrix(eta, eta_dot, params)
+    gen_torque = torque + tau_g
+    if revised:
+        gen_torque = w.T @ gen_torque
     out = np.empty(12)
     out[P] = state[PDOT]
     out[ETA] = eta_dot
     out[PDOT] = _position_accel(eta, thrust, params)
-    out[ETADOT] = np.linalg.solve(jr, torque + tau_g - c @ eta_dot)
+    out[ETADOT] = np.linalg.solve(jr, gen_torque - c @ eta_dot)
     return out
+
+
+def el_lit_rates(state, thrust, torque, tau_g, params: QuadParams) -> np.ndarray:
+    """Literature Euler-Lagrange derivative: generalized torque taken as M."""
+    return _gen_rates(state, thrust, torque, tau_g, params, revised=False)
 
 
 def rel_rates(state, thrust, torque, tau_g, params: QuadParams) -> np.ndarray:
     """Revised Euler-Lagrange derivative: generalized torque is W^T M."""
-    eta = state[ETA]
-    eta_dot = state[ETADOT]
-    w = w_matrix(eta)
-    w_inverse(eta)  # singularity guard
-    jr = w.T @ params.inertia @ w
-    c = coriolis_matrix(eta, eta_dot, params)
-    out = np.empty(12)
-    out[P] = state[PDOT]
-    out[ETA] = eta_dot
-    out[PDOT] = _position_accel(eta, thrust, params)
-    out[ETADOT] = np.linalg.solve(jr, w.T @ (torque + tau_g) - c @ eta_dot)
-    return out
+    return _gen_rates(state, thrust, torque, tau_g, params, revised=True)
 
 
 def _gen_gyro(state, u, params: QuadParams) -> np.ndarray:

@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from rotordyn import cli
+from rotordyn import cli, lab
 from rotordyn.cli import ConfigError, RunConfig, main, parse_config
 
 
@@ -92,6 +92,31 @@ class TestParseConfig:
         cfg = parse_config("[input]\npreset = drifting\n")
         assert np.allclose(cfg.input_fn()(0.0),
                            [475.9, 476.2, 476.0, 476.1])
+
+    def test_default_input_is_the_drifting_input_bit_for_bit(self):
+        u = parse_config("[input]\npreset = drifting\n").input_fn()
+        ts = np.linspace(-50.0, 50.0, 2001).tolist() + [0.0, -0.0, 1e-300]
+        got = np.array([u(t) for t in ts])
+        want = np.array([lab.drifting_rotor_input(t) for t in ts])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("key", ["base = 1, 2, 3, 4",
+                                     "amp = 1, 0, 0, 0", "freq = 2"])
+    def test_drifting_preset_takes_no_input_keys(self, tmp_path, capsys,
+                                                 key):
+        text = f"[input]\npreset = drifting\n{key}\n"
+        with pytest.raises(ConfigError, match="preset = drifting takes no"):
+            parse_config(text)
+        p = tmp_path / "c.cfg"
+        p.write_text("[run]\ncommand = compare\n" + text)
+        assert main(["run", "--config", str(p)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_input_keys_without_preset_are_used(self):
+        cfg = parse_config("[input]\nbase = 1, 2, 3, 4\n")
+        assert cfg.input_preset == "custom"
+        assert np.array_equal(cfg.input_fn()(0.0), [1.0, 2.0, 3.0, 4.0])
 
 
 class TestMain:
@@ -205,6 +230,27 @@ class TestMain:
         cut_rows = cut.read_text().splitlines()
         assert len(cut_rows) == 52   # header + the 51 samples before step 50
         assert cut_rows == full.read_text().splitlines()[:52]
+
+    @pytest.mark.parametrize("value, reason", [
+        ("-1e-3", "must be > 0"), ("-inf", "must be finite"),
+        ("-.5", "must be > 0")])
+    def test_value_starting_with_dash_reaches_converter(self, capsys, value,
+                                                        reason):
+        assert main(["compare", "--dt", value]) == 2
+        assert f"dt = '{value}': {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_echo_shows_only_what_the_command_reads(self, command):
+        echo = RunConfig(command=command).echo().splitlines()[1:]
+        names = {line.split(" = ", 1)[0].strip() for line in echo}
+        assert names == {"command", *cli.READS[command]}
+        closed_loop = command in ("track", "sweep")
+        for name in ("helix", "gains"):
+            assert (name in names) == closed_loop
+        assert ("ki_grid" in names) == (command == "sweep")
+        assert ("compensators" in names) == (command == "sweep")
+        assert ("input_base" in names) == (not closed_loop
+                                           and command != "verify")
 
     def test_unwritable_output_fails(self, tmp_path, capsys):
         p = tmp_path / "c.cfg"

@@ -112,7 +112,7 @@ class TestAttitudeLinearization:
 
         def rhs(t, z):
             y, ie = z[:12], z[12:]
-            eta_dot = control._euler_rates(y)
+            _, eta_dot = control._generalized_rates(y)
             torque = attitude_fl_pid(compensator, y[3:6], eta_dot,
                                      self.ETA_REF, zero, zero, ie,
                                      self.GAINS, p)
