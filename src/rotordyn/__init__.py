@@ -3,7 +3,6 @@ Euler-angle kinematics, fixed-step integrators, model-equivalence checks
 and a feedback-linearization flight controller."""
 
 from .kinematics import (
-    DEFAULT_SEQUENCE,
     SingularConfiguration,
     rotation,
     skew,
@@ -29,7 +28,6 @@ from .lab import (
 from .control import Gains, HelixSpec, InfeasibleAttitude, gain_sweep, run_tracking
 
 __all__ = [
-    "DEFAULT_SEQUENCE",
     "SingularConfiguration",
     "rotation",
     "skew",

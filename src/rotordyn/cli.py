@@ -174,9 +174,9 @@ _SECTIONS = {
     "run": {
         "command": _choice(*COMMANDS), "model": _choice("ne", "el", "rel"),
         "dt": _above(_float, 0), "duration": _above(_float, 0),
-        "integrator": _choice("euler", "rk4"),
+        "integrator": _choice("euler", "rk4"), "out": str,
         "seed": _above(_int, 0, strict=False), "samples": _above(_int, 0),
-        "tol": _float, "out": str, "compensator": _choice("el", "rel"),
+        "tol": _above(_float, 0), "compensator": _choice("el", "rel"),
     },
     "params": {
         **{k: _float for k in ("mass", "jx", "jy", "jz", "gravity", "arm",
@@ -324,7 +324,7 @@ _DISPATCH = {
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="rotordyn",
+        prog="rotordyn", allow_abbrev=False,
         description="Multirotor dynamics models, equivalence checks and "
                     "control experiments")
     parser.add_argument("command", nargs="?", choices=COMMANDS + ("run",),

@@ -24,7 +24,7 @@ from .fast import (
     _w_inv_t,
     ne_rates_321,
 )
-from .integrators import _bad, step_rk4
+from .integrators import _bad, step_count, step_rk4
 from .kinematics import SingularConfiguration, rotation, w_matrix
 from .models import QuadParams
 
@@ -178,7 +178,7 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
     substages.  The plant sees no rotor-level gyroscopic torque (wrench
     commands are applied directly).
     """
-    n_steps = int(math.floor(spec.duration / dt + 1e-9))
+    n_steps = step_count(spec.duration, dt)
     y = _reference_start(spec, gains, params).tolist()
     pos_int = [0.0, 0.0, 0.0]
     att_int = [0.0, 0.0, 0.0]

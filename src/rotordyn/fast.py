@@ -1,9 +1,9 @@
 """Closed-form 321-sequence fast path for the model derivatives.
 
 Hand-expanded scalar versions of the hot functions in ``models``,
-specialized to the default Tait-Bryan 321 sequence and a diagonal
-inertia.  The generic implementations stay the reference; the test suite
-pins these to them at machine tolerance.
+specialized to the Tait-Bryan 321 sequence and a diagonal inertia.  The
+generic implementations stay the reference; the test suite pins these to
+them at machine tolerance.
 
 Float-body convention: every kernel unpacks its state (ndarray, list or
 tuple) once into Python floats, does straight-line float arithmetic and

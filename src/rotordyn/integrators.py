@@ -64,13 +64,19 @@ def _bad(y) -> bool:
     return not all(-lim <= v <= lim for v in y)
 
 
-def simulate(f, y0, t_final, dt, method: str = "rk4") -> Trajectory:
+def step_count(t_final: float, dt: float) -> int:
+    """floor(t_final / dt), with slack for a whole number of steps."""
+    return int(np.floor(t_final / dt + 1e-9))
+
+
+def simulate(f, y0, t_final, dt, method: str = "rk4",
+             n_steps: int | None = None) -> Trajectory:
     """Integrate f from y0 over [0, t_final] recording every step.
 
-    The grid has floor(t_final/dt) + 1 samples with times computed as
-    i * dt (no accumulated addition).  On NaN/Inf, a component exceeding
-    DIVERGENCE_LIMIT, or a SingularConfiguration, the trajectory is
-    truncated and marked diverged.
+    The grid has n_steps + 1 samples (default step_count(t_final, dt)),
+    with times i * dt (no accumulated addition).  On NaN/Inf, a component
+    exceeding DIVERGENCE_LIMIT, or a SingularConfiguration, the trajectory
+    is truncated and marked diverged.
     """
     if dt <= 0 or t_final <= 0:
         raise ValueError("dt and t_final must be positive")
@@ -78,7 +84,7 @@ def simulate(f, y0, t_final, dt, method: str = "rk4") -> Trajectory:
         raise ValueError(f"unknown method {method!r}, expected euler or rk4")
     stepper = _STEPPERS[method]
 
-    n_steps = int(np.floor(t_final / dt + 1e-9))
+    n_steps = step_count(t_final, dt) if n_steps is None else n_steps
     y = np.array(y0, dtype=float).tolist()
     if _bad(y):
         raise ValueError("initial state is not finite")

@@ -1,16 +1,14 @@
-"""Euler-angle attitude kinematics.
+"""Tait-Bryan 321 (ZYX) Euler-angle attitude kinematics.
 
 Elementary rotations, the skew operator, and the map W(eta) between
 Euler-angle rates and body-frame angular velocity, together with its
 inverse, analytic partial derivatives, and the stacked skew structure
 Sigma(W^-1) used by the equivalence checks.
 
-Conventions: the default sequence is Tait-Bryan 321.  eta = (phi, theta,
-psi) with phi the innermost rotation, so the body->inertial rotation is
+eta = (phi, theta, psi), so the body->inertial rotation is
 R = R3(psi) @ R2(theta) @ R1(phi) and omega = W(eta) @ eta_dot with omega
-in the body frame.  For a general sequence (a, b, c) the angles pair with
-the axes outermost-first: eta[2] about axis a, eta[1] about b, eta[0]
-about c.
+in the body frame.  Built from elementary rotations, this is the spec the
+closed-form ``fast`` kernels are pinned to.
 """
 
 from __future__ import annotations
@@ -19,25 +17,15 @@ import math
 
 import numpy as np
 
-DEFAULT_SEQUENCE = (3, 2, 1)
 SINGULARITY_TOL = 1e-6
 
-_AXES = (np.array([1.0, 0.0, 0.0]),
-         np.array([0.0, 1.0, 0.0]),
-         np.array([0.0, 0.0, 1.0]))
-
-E3 = _AXES[2]
+E1 = np.array([1.0, 0.0, 0.0])
+E2 = np.array([0.0, 1.0, 0.0])
+E3 = np.array([0.0, 0.0, 1.0])
 
 
 class SingularConfiguration(Exception):
     """Raised when W(eta) is (near-)singular, i.e. close to gimbal lock."""
-
-
-def _check_sequence(seq):
-    if len(seq) != 3 or any(a not in (1, 2, 3) for a in seq):
-        raise ValueError(f"sequence axes must be in {{1,2,3}}: {seq}")
-    if seq[0] == seq[1] or seq[1] == seq[2]:
-        raise ValueError(f"consecutive sequence axes must differ: {seq}")
 
 
 def skew(a) -> np.ndarray:
@@ -61,27 +49,22 @@ def elem_rotation(axis: int, angle: float) -> np.ndarray:
     raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
 
 
-def rotation(eta, seq=DEFAULT_SEQUENCE) -> np.ndarray:
-    """Body->inertial rotation matrix for Euler angles `eta`."""
-    _check_sequence(seq)
-    return (elem_rotation(seq[0], eta[2])
-            @ elem_rotation(seq[1], eta[1])
-            @ elem_rotation(seq[2], eta[0]))
+def rotation(eta) -> np.ndarray:
+    """Body->inertial rotation matrix R3(psi) @ R2(theta) @ R1(phi)."""
+    return (elem_rotation(3, eta[2])
+            @ elem_rotation(2, eta[1])
+            @ elem_rotation(1, eta[0]))
 
 
-def w_matrix(eta, seq=DEFAULT_SEQUENCE) -> np.ndarray:
+def w_matrix(eta) -> np.ndarray:
     """Map W(eta) with omega = W(eta) @ eta_dot (omega in the body frame).
 
     Columns are the body-frame directions of the three elementary rotation
-    rates: [e_c, Rc(-eta0) e_b, Rc(-eta0) Rb(-eta1) e_a] for seq (a, b, c).
+    rates: [e1, R1(-phi) e2, R1(-phi) R2(-theta) e3].
     """
-    _check_sequence(seq)
-    a, b, c = seq
-    rc = elem_rotation(c, -eta[0])
-    col1 = _AXES[c - 1]
-    col2 = rc @ _AXES[b - 1]
-    col3 = rc @ (elem_rotation(b, -eta[1]) @ _AXES[a - 1])
-    return np.column_stack((col1, col2, col3))
+    r1 = elem_rotation(1, -eta[0])
+    return np.column_stack((E1, r1 @ E2,
+                            r1 @ (elem_rotation(2, -eta[1]) @ E3)))
 
 
 def _det3(m) -> float:
@@ -105,17 +88,12 @@ def _inv3(m, det: float) -> np.ndarray:
     return out
 
 
-def w_det(eta, seq=DEFAULT_SEQUENCE) -> float:
-    """det W(eta); zero exactly at the gimbal-lock configurations."""
-    return _det3(w_matrix(eta, seq))
-
-
-def w_inverse(eta, seq=DEFAULT_SEQUENCE) -> np.ndarray:
+def w_inverse(eta) -> np.ndarray:
     """Inverse map, eta_dot = w_inverse(eta) @ omega.
 
     Raises SingularConfiguration when |det W| <= SINGULARITY_TOL.
     """
-    w = w_matrix(eta, seq)
+    w = w_matrix(eta)
     det = _det3(w)
     if abs(det) <= SINGULARITY_TOL:
         raise SingularConfiguration(
@@ -124,69 +102,66 @@ def w_inverse(eta, seq=DEFAULT_SEQUENCE) -> np.ndarray:
     return _inv3(w, det)
 
 
-def w_partials(eta, seq=DEFAULT_SEQUENCE) -> np.ndarray:
+def w_partials(eta) -> np.ndarray:
     """Analytic partials dW/d(eta_k), shape (3, 3, 3), index k first.
 
     Uses d/dalpha R_a(alpha) = skew(e_a) @ R_a(alpha); W never depends on
-    the outermost angle eta[2].
+    the yaw psi = eta[2].
     """
-    _check_sequence(seq)
-    a, b, c = seq
-    ea, eb, ec = _AXES[a - 1], _AXES[b - 1], _AXES[c - 1]
-    rc = elem_rotation(c, -eta[0])
-    rb = elem_rotation(b, -eta[1])
-    sc = skew(ec)
-    col2 = rc @ eb
-    col3 = rc @ (rb @ ea)
+    r1 = elem_rotation(1, -eta[0])
+    r2 = elem_rotation(2, -eta[1])
+    s1 = skew(E1)
+    col2 = r1 @ E2
+    col3 = r1 @ (r2 @ E3)
 
     out = np.zeros((3, 3, 3))
-    # d/d eta0: both rc-dependent columns pick up -skew(e_c) on the left of rc
-    out[0, :, 1] = -(sc @ col2)
-    out[0, :, 2] = -(sc @ col3)
-    # d/d eta1: only the outermost column depends on rb
-    out[1, :, 2] = -(rc @ (skew(eb) @ (rb @ ea)))
+    # d/d phi: both r1-dependent columns pick up -skew(e1) on the left of r1
+    out[0, :, 1] = -(s1 @ col2)
+    out[0, :, 2] = -(s1 @ col3)
+    # d/d theta: only the last column depends on r2
+    out[1, :, 2] = -(r1 @ (skew(E2) @ (r2 @ E3)))
     return out
 
 
-def w_dot(eta, eta_dot, seq=DEFAULT_SEQUENCE) -> np.ndarray:
+def w_dot(eta, eta_dot) -> np.ndarray:
     """Analytic time derivative of W along eta(t) with rate eta_dot."""
-    dw = w_partials(eta, seq)
+    dw = w_partials(eta)
     return dw[0] * eta_dot[0] + dw[1] * eta_dot[1] + dw[2] * eta_dot[2]
 
 
-def w_inverse_partials(eta, seq=DEFAULT_SEQUENCE) -> np.ndarray:
+def w_inverse_partials(eta) -> np.ndarray:
     """Analytic partials d(W^-1)/d(eta_k), shape (3, 3, 3), via
     d(W^-1) = -W^-1 dW W^-1."""
-    winv = w_inverse(eta, seq)
-    dw = w_partials(eta, seq)
+    winv = w_inverse(eta)
+    dw = w_partials(eta)
     return np.stack([-winv @ dw[k] @ winv for k in range(3)])
 
 
-def w_inverse_dot(eta, eta_dot, seq=DEFAULT_SEQUENCE) -> np.ndarray:
+def w_inverse_dot(eta, eta_dot) -> np.ndarray:
     """Analytic time derivative of W^-1 along eta(t)."""
-    dwi = w_inverse_partials(eta, seq)
+    dwi = w_inverse_partials(eta)
     return dwi[0] * eta_dot[0] + dwi[1] * eta_dot[1] + dwi[2] * eta_dot[2]
 
 
-def row_jacobians(eta, seq=DEFAULT_SEQUENCE) -> np.ndarray:
+def row_jacobians(eta) -> np.ndarray:
     """Jacobians P_i of the rows of W^-1, shape (3, 3, 3).
 
     P[i][j, k] = d (W^-1)[i, j] / d eta_k, i.e. the Jacobian of row i of
     W^-1 viewed as a column vector.
     """
-    dwi = w_inverse_partials(eta, seq)
+    dwi = w_inverse_partials(eta)
     # dwi[k][i, j] -> P[i][j, k]
     return np.transpose(dwi, (1, 2, 0))
 
 
-def sigma_w_inv(eta, seq=DEFAULT_SEQUENCE):
+def sigma_w_inv(eta):
     """The three stacked blocks of Sigma(W^-1).
 
     Block i is P_i @ W^-1 minus its transpose, which collapses to the
     skew-symmetric matrix of row i of W^-1.
     """
-    winv = w_inverse(eta, seq)
-    p = row_jacobians(eta, seq)
+    winv = w_inverse(eta)
+    p = row_jacobians(eta)
     blocks = []
     for i in range(3):
         m = p[i] @ winv

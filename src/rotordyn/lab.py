@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fast
-from .integrators import Trajectory, simulate
+from .integrators import Trajectory, simulate, step_count
 from .kinematics import (
     rotation,
     skew,
@@ -273,8 +273,9 @@ _MODEL_FNS = {
 }
 
 
-def simulate_model(model: str, input_fn, cfg: ComparisonConfig) -> Trajectory:
-    """Simulate one named model from rest under a rotor-speed input function."""
+def simulate_model(model: str, input_fn, cfg: ComparisonConfig,
+                   n_steps: int | None = None) -> Trajectory:
+    """Simulate one named model from rest; n_steps overrides cfg.duration."""
     if model not in _MODEL_FNS:
         raise ValueError(f"unknown model {model!r}, expected ne, el or rel")
     deriv = _MODEL_FNS[model]
@@ -283,7 +284,8 @@ def simulate_model(model: str, input_fn, cfg: ComparisonConfig) -> Trajectory:
     def f(t, y):
         return deriv(y, input_fn(t), params)
 
-    return simulate(f, np.zeros(12), cfg.duration, cfg.dt, cfg.integrator)
+    return simulate(f, np.zeros(12), cfg.duration, cfg.dt, cfg.integrator,
+                    n_steps)
 
 
 def _as_gen(traj: Trajectory) -> Trajectory:
@@ -330,21 +332,21 @@ def run_oracle_comparison(cfg: ComparisonConfig,
                           input_fn=drifting_rotor_input) -> RmseTable:
     """RMSE of all three models against a refined-step reference.
 
-    The reference is the Newton-Euler model integrated with RK4 at
-    dt / oracle_refinement, subsampled back onto the run grid.  It stands
-    in for an external multibody engine.
+    The reference is the Newton-Euler model, RK4 at dt / oracle_refinement
+    for oracle_refinement times the run's steps, subsampled back onto the
+    run grid.  It stands in for an external multibody engine.
     """
-    ref_cfg = replace(cfg, dt=cfg.dt / cfg.oracle_refinement, integrator="rk4")
-    oracle = _as_gen(_subsample(simulate_model("ne", input_fn, ref_cfg),
-                                cfg.oracle_refinement, cfg.dt))
+    refine = cfg.oracle_refinement
+    ref_cfg = replace(cfg, dt=cfg.dt / refine, integrator="rk4")
+    ref = simulate_model("ne", input_fn, ref_cfg,
+                         refine * step_count(cfg.duration, cfg.dt))
+    oracle = _as_gen(_subsample(ref, refine, cfg.dt))
     ne = _as_gen(simulate_model("ne", input_fn, cfg))
     el = simulate_model("el", input_fn, cfg)
     rel = simulate_model("rel", input_fn, cfg)
     table = RmseTable("refined-step reference (substitute for a multibody engine)",
                       ["ne", "el", "rel"], {}, cfg.dt, cfg.duration,
                       cfg.integrator)
-    table.notes["oracle"] = (
-        f"Newton-Euler RK4 at dt/{cfg.oracle_refinement}"
-    )
+    table.notes["oracle"] = f"Newton-Euler RK4 at dt/{refine}"
     _score(table, "reference", oracle, {"ne": ne, "el": el, "rel": rel})
     return table

@@ -88,6 +88,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=reason):
             parse_config(body)
 
+    @pytest.mark.parametrize("value", ["0", "-1e-9"])
+    def test_tol_must_be_positive(self, tmp_path, capsys, value):
+        text = f"[run]\ncommand = verify\ntol = {value}\n"
+        with pytest.raises(ConfigError, match="tol = .*must be > 0"):
+            parse_config(text)
+        p = tmp_path / "c.cfg"
+        p.write_text(text)
+        assert main(["run", "--config", str(p)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_input_fn_drifting_preset(self):
         cfg = parse_config("[input]\npreset = drifting\n")
         assert np.allclose(cfg.input_fn()(0.0),
@@ -238,6 +248,15 @@ class TestMain:
                                                         reason):
         assert main(["compare", "--dt", value]) == 2
         assert f"dt = '{value}': {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--dur", "-1e-3"], ["compare", "--dur", "1"],
+        ["compare", "--dur=1"], ["compare", "--int", "euler"]])
+    def test_abbreviated_flag_is_unrecognized(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", cli.COMMANDS)
     def test_echo_shows_only_what_the_command_reads(self, command):

@@ -22,7 +22,7 @@ VALID = {
     ("run", "integrator"): st.sampled_from(("euler", "rk4")),
     ("run", "seed"): st.integers(min_value=0, max_value=2**64),
     ("run", "samples"): st.integers(min_value=1, max_value=10**6),
-    ("run", "tol"): finite,
+    ("run", "tol"): positive,
     ("run", "out"): st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True),
     ("run", "compensator"): st.sampled_from(("el", "rel")),
     **{("params", k): positive for k in

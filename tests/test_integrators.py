@@ -9,6 +9,7 @@ from rotordyn.integrators import (
     Trajectory,
     _bad,
     simulate,
+    step_count,
     step_euler,
     step_rk4,
 )
@@ -151,3 +152,17 @@ class TestSimulate:
     def test_trajectory_len(self):
         traj = Trajectory(0.1, np.arange(3) * 0.1, np.zeros((3, 2)))
         assert len(traj) == 3
+
+
+class TestStepCount:
+    @pytest.mark.parametrize("t_final, dt, n", [
+        (1.0, 0.1, 10), (0.05, 0.01, 5), (0.049999999995, 0.01, 5),
+        (0.045, 0.01, 4), (60.0, 0.01, 6000), (60.0, 1e-4, 600000)])
+    def test_floor_with_slack(self, t_final, dt, n):
+        assert step_count(t_final, dt) == n
+
+    def test_simulate_takes_n_steps_when_given(self):
+        traj = simulate(exponential, [1.0], 0.049999999995, 1e-4,
+                        n_steps=500)
+        assert len(traj) == 501
+        assert np.array_equal(traj.times, 1e-4 * np.arange(501))

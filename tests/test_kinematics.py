@@ -46,13 +46,6 @@ def test_rotation_composition_examples():
     assert np.allclose(r @ [1, 0, 0], [0, 1, 0], atol=1e-12)
 
 
-def test_rotation_rejects_bad_sequence():
-    with pytest.raises(ValueError):
-        kin.rotation([0.1, 0.2, 0.3], seq=(3, 3, 1))
-    with pytest.raises(ValueError):
-        kin.rotation([0.1, 0.2, 0.3], seq=(0, 2, 1))
-
-
 def test_w_matrix_closed_form_321():
     phi, theta = 0.3, -0.5
     sf, cf = math.sin(phi), math.cos(phi)
@@ -68,29 +61,19 @@ def test_w_matrix_pure_roll_example():
     assert np.allclose(w, [[1, 0, 0], [0, 0, 1], [0, -1, 0]], atol=1e-12)
 
 
-@given(ANGLES, ANGLES, ANGLES)
-def test_w_det_is_cos_pitch_for_321(phi, theta, psi):
-    assert kin.w_det([phi, theta, psi]) == pytest.approx(math.cos(theta),
-                                                         abs=1e-12)
-
-
-@pytest.mark.parametrize("seq", [(3, 2, 1), (1, 2, 3), (3, 1, 3)])
-def test_w_matrix_matches_rotation_kinematics(seq, rng):
-    """omega from W must equal vee(R^T R_dot) for any sequence."""
+def test_w_matrix_matches_rotation_kinematics(rng):
+    """omega from W must equal vee(R^T R_dot)."""
     h = 1e-6
     for _ in range(20):
         eta = rng.uniform(-1.2, 1.2, 3)
         eta_dot = rng.uniform(-2.0, 2.0, 3)
-        if seq == (3, 1, 3):
-            eta[1] += 1.5  # proper Euler sequences are singular at eta1 = 0
-        rp = kin.rotation(eta + h * eta_dot, seq)
-        rm = kin.rotation(eta - h * eta_dot, seq)
+        rp = kin.rotation(eta + h * eta_dot)
+        rm = kin.rotation(eta - h * eta_dot)
         r_dot = (rp - rm) / (2.0 * h)
-        omega_skew = kin.rotation(eta, seq).T @ r_dot
+        omega_skew = kin.rotation(eta).T @ r_dot
         omega_fd = np.array([omega_skew[2, 1], omega_skew[0, 2],
                              omega_skew[1, 0]])
-        assert np.allclose(kin.w_matrix(eta, seq) @ eta_dot, omega_fd,
-                           atol=1e-6)
+        assert np.allclose(kin.w_matrix(eta) @ eta_dot, omega_fd, atol=1e-6)
 
 
 @given(ANGLES, SAFE_PITCH, ANGLES)

@@ -133,6 +133,16 @@ class TestComparisons:
         assert rows[0] == ["group", "el", "rel"]
         assert len(rows) == 5
 
+    def test_oracle_just_short_of_a_whole_step(self):
+        # 0.049999999995 / 0.01 rounds up to 5 steps, while
+        # 0.049999999995 / 1e-4 alone would floor to 499, not 500
+        short = run_oracle_comparison(
+            ComparisonConfig(dt=0.01, duration=0.049999999995))
+        whole = run_oracle_comparison(ComparisonConfig(dt=0.01, duration=0.05))
+        assert short.values == whole.values
+        assert all(math.isfinite(v) for row in short.values.values()
+                   for v in row)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ComparisonConfig(dt=0.0)
