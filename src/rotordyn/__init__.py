@@ -1,6 +1,6 @@
 """Multirotor rigid-body dynamics: Newton-Euler and Euler-Lagrange models,
-Euler-angle kinematics, fixed-step integrators, model-equivalence checks
-and a feedback-linearization flight controller."""
+Euler-angle kinematics, a fixed-step RK4 integrator, model-equivalence
+checks and a feedback-linearization flight controller."""
 
 from .kinematics import (
     SingularConfiguration,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import control, lab
+from . import control, integrators, lab
 from .lab import ComparisonConfig
 from .models import QuadParams
 
@@ -80,7 +80,8 @@ class RunConfig:
 # The RunConfig fields each command reads
 _OPEN_LOOP = ("dt", "duration", "integrator", "out", "params", "input_preset",
               "input_base", "input_amp", "input_freq")
-_CLOSED_LOOP = ("dt", "integrator", "out", "params", "gains", "helix")
+_CLOSED_LOOP = ("dt", "duration", "integrator", "out", "params", "gains",
+                "helix")
 READS = {"simulate": ("model",) + _OPEN_LOOP, "compare": _OPEN_LOOP,
          "oracle": _OPEN_LOOP, "verify": ("seed", "samples", "tol", "params"),
          "track": ("compensator",) + _CLOSED_LOOP,
@@ -174,7 +175,7 @@ _SECTIONS = {
     "run": {
         "command": _choice(*COMMANDS), "model": _choice("ne", "el", "rel"),
         "dt": _above(_float, 0), "duration": _above(_float, 0),
-        "integrator": _choice("euler", "rk4"), "out": str,
+        "integrator": _choice("rk4"), "out": str,
         "seed": _above(_int, 0, strict=False), "samples": _above(_int, 0),
         "tol": _above(_float, 0), "compensator": _choice("el", "rel"),
     },
@@ -195,7 +196,7 @@ _SECTIONS = {
 }
 
 # Flags that set a [run] key, through the same converters
-_FLAGS = ("out", "seed", "dt", "duration", "integrator")
+_FLAGS = ("out", "seed", "dt", "duration")
 _VALUE_OPTIONS = ("--config",) + tuple(f"--{name}" for name in _FLAGS)
 
 
@@ -334,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", help="sampling seed")
     parser.add_argument("--dt", help="integration step [s]")
     parser.add_argument("--duration", help="simulated time [s]")
-    parser.add_argument("--integrator", help="euler or rk4")
     return parser
 
 
@@ -367,15 +367,19 @@ def main(argv=None) -> int:
             cfg = RunConfig()
         if args.command and args.command != "run":
             cfg.command = args.command
-        flags = {name: (value, f"--{name}") for name in _FLAGS
-                 if (value := getattr(args, name)) is not None}
-        cfg = replace(cfg, **_take(flags, _SECTIONS["run"], "run"))
         if not cfg.command:
             raise ConfigError("no command given (flag or [run] command = ...)")
+        flags = {name: (value, f"--{name}") for name in _FLAGS
+                 if (value := getattr(args, name)) is not None}
+        for name in flags:
+            if name not in READS[cfg.command]:
+                raise ConfigError(f"--{name}: {cfg.command} does not read it")
+        cfg = replace(cfg, **_take(flags, _SECTIONS["run"], "run"))
+        if ("duration" in READS[cfg.command]
+                and integrators.step_count(cfg.duration, cfg.dt) < 1):
+            raise ConfigError(f"duration = {cfg.duration:g} is shorter than "
+                              f"one step of dt = {cfg.dt:g}")
         if cfg.command in ("track", "sweep"):
-            if cfg.integrator != "rk4":
-                raise ConfigError(f"{cfg.command} integrates with rk4 only, "
-                                  f"got integrator = {cfg.integrator!r}")
             # the closed loop commands the wrench: no rotor gyroscopic torque
             cfg.params = cfg.params.with_gyro(False)
             cfg.helix = replace(cfg.helix, duration=cfg.duration)
@@ -385,7 +389,7 @@ def main(argv=None) -> int:
     print(cfg.echo())
     try:
         return _DISPATCH[cfg.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, control.InfeasibleAttitude) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

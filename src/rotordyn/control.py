@@ -176,7 +176,9 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
 
     The wrench is recomputed once per control step and held over the RK4
     substages.  The plant sees no rotor-level gyroscopic torque (wrench
-    commands are applied directly).
+    commands are applied directly).  Raises InfeasibleAttitude for a
+    reference that is infeasible at t = 0; later infeasibility ends the
+    run as diverged.
     """
     n_steps = step_count(spec.duration, dt)
     y = _reference_start(spec, gains, params).tolist()

@@ -1,4 +1,4 @@
-"""Fixed-step explicit integrators with trajectory recording.
+"""Fixed-step classical RK4 with trajectory recording.
 
 The state is carried as a list of Python floats: a derivative function
 f(t, y) receives y as a list and returns dy/dt as any length-n sequence
@@ -33,11 +33,6 @@ class Trajectory:
         return len(self.times)
 
 
-def step_euler(f, y, t, dt):
-    """One forward-Euler step."""
-    return [a + dt * b for a, b in zip(y, f(t, y))]
-
-
 def step_rk4(f, y, t, dt):
     """One classical fourth-order Runge-Kutta step.
 
@@ -54,9 +49,6 @@ def step_rk4(f, y, t, dt):
             for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
 
 
-_STEPPERS = {"euler": step_euler, "rk4": step_rk4}
-
-
 def _bad(y) -> bool:
     """True for a NaN, an infinite or a runaway (> DIVERGENCE_LIMIT) entry
     anywhere in ``y``; NaN fails both comparisons."""
@@ -69,9 +61,8 @@ def step_count(t_final: float, dt: float) -> int:
     return int(np.floor(t_final / dt + 1e-9))
 
 
-def simulate(f, y0, t_final, dt, method: str = "rk4",
-             n_steps: int | None = None) -> Trajectory:
-    """Integrate f from y0 over [0, t_final] recording every step.
+def simulate(f, y0, t_final, dt, *, n_steps: int | None = None) -> Trajectory:
+    """Integrate f with RK4 from y0 over [0, t_final] recording every step.
 
     The grid has n_steps + 1 samples (default step_count(t_final, dt)),
     with times i * dt (no accumulated addition).  On NaN/Inf, a component
@@ -80,10 +71,6 @@ def simulate(f, y0, t_final, dt, method: str = "rk4",
     """
     if dt <= 0 or t_final <= 0:
         raise ValueError("dt and t_final must be positive")
-    if method not in _STEPPERS:
-        raise ValueError(f"unknown method {method!r}, expected euler or rk4")
-    stepper = _STEPPERS[method]
-
     n_steps = step_count(t_final, dt) if n_steps is None else n_steps
     y = np.array(y0, dtype=float).tolist()
     if _bad(y):
@@ -94,7 +81,7 @@ def simulate(f, y0, t_final, dt, method: str = "rk4",
     for i in range(n_steps):
         t = i * dt
         try:
-            y = stepper(f, y, t, dt)
+            y = step_rk4(f, y, t, dt)
         except SingularConfiguration as exc:
             return Trajectory(dt, dt * np.arange(i + 1), states[:i + 1],
                               diverged=True, diverged_step=i,

@@ -225,6 +225,8 @@ class ComparisonConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.duration <= 0:
             raise ValueError("dt and duration must be positive")
+        if self.integrator != "rk4":
+            raise ValueError(f"integrator must be rk4, got {self.integrator!r}")
         if self.oracle_refinement < 2:
             raise ValueError("oracle_refinement must be >= 2")
 
@@ -284,8 +286,7 @@ def simulate_model(model: str, input_fn, cfg: ComparisonConfig,
     def f(t, y):
         return deriv(y, input_fn(t), params)
 
-    return simulate(f, np.zeros(12), cfg.duration, cfg.dt, cfg.integrator,
-                    n_steps)
+    return simulate(f, np.zeros(12), cfg.duration, cfg.dt, n_steps=n_steps)
 
 
 def _as_gen(traj: Trajectory) -> Trajectory:
@@ -337,7 +338,7 @@ def run_oracle_comparison(cfg: ComparisonConfig,
     run grid.  It stands in for an external multibody engine.
     """
     refine = cfg.oracle_refinement
-    ref_cfg = replace(cfg, dt=cfg.dt / refine, integrator="rk4")
+    ref_cfg = replace(cfg, dt=cfg.dt / refine)
     ref = simulate_model("ne", input_fn, ref_cfg,
                          refine * step_count(cfg.duration, cfg.dt))
     oracle = _as_gen(_subsample(ref, refine, cfg.dt))

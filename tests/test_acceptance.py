@@ -128,7 +128,7 @@ def test_criterion_5_conservation():
     # Newton-Euler, zero wrench
     y0 = np.concatenate([zero, eta0, zero, omega0])
     ne = simulate(lambda t, y: ne_rates_321(y, 0.0, zero, params),
-                  y0, 10.0, 1e-3, "rk4")
+                  y0, 10.0, 1e-3)
     assert not ne.diverged
     drift_ne = max(
         max(abs(invariants(s[3:6], s[9:12])[0] - e0) for s in ne.states) / e0,
@@ -139,7 +139,7 @@ def test_criterion_5_conservation():
     # revised E-L, zero generalized wrench, omega recovered as W eta_dot
     g0 = np.concatenate([zero, eta0, zero, w_inverse(eta0) @ omega0])
     rel = simulate(lambda t, y: rel_rates_321(y, 0.0, zero, params),
-                   g0, 10.0, 1e-3, "rk4")
+                   g0, 10.0, 1e-3)
     assert not rel.diverged
     drift_rel = 0.0
     for s in rel.states:

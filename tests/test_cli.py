@@ -19,7 +19,7 @@ class TestParseConfig:
             command = compare     # trailing comment
             dt = 0.001
             duration = 30
-            integrator = euler
+            integrator = rk4
 
             [params]
             mass = 1.2
@@ -32,7 +32,7 @@ class TestParseConfig:
             freq = 2.5
         """)
         assert cfg.command == "compare"
-        assert cfg.dt == 0.001 and cfg.integrator == "euler"
+        assert cfg.dt == 0.001 and cfg.integrator == "rk4"
         assert cfg.params.mass == 1.2 and not cfg.params.gyro_enabled
         u = cfg.input_fn()(0.0)
         assert np.allclose(u, 400.0)
@@ -65,6 +65,7 @@ class TestParseConfig:
         "[run]\ncommand = fly\n",
         "[run]\ncommand = compare\ndt = -1\n",
         "[run]\ncommand = compare\nintegrator = heun\n",
+        "[run]\ncommand = compare\nintegrator = euler\n",
         "[run]\ncommand = simulate\nmodel = dcm\n",
         "[input]\npreset = step\n",
         "[input]\nbase = 1, 2, 3\n",
@@ -157,22 +158,44 @@ class TestMain:
         ["compare", "--dt", "nan"],
         ["compare", "--duration", "inf", "--dt", "0.5"],
         ["verify", "--seed", "-1"],
-        ["simulate", "--integrator", "heun"],
     ])
     def test_bad_flag_exits_2(self, capsys, argv):
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["track", "sweep"])
-    @pytest.mark.parametrize("by_flag", [False, True])
-    def test_closed_loop_is_rk4_only(self, tmp_path, capsys, command,
-                                     by_flag):
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--out", "r.csv"], ["verify", "--dt", "5"],
+        ["verify", "--duration", "1"], ["track", "--seed", "4"],
+        ["sweep", "--seed", "4"], ["compare", "--seed", "4"],
+        ["simulate", "--seed", "4"], ["oracle", "--seed", "4"]])
+    def test_flag_the_command_does_not_read_exits_2(self, tmp_path,
+                                                      monkeypatch, capsys,
+                                                      argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert "does not read it" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_config_key_the_command_does_not_read_is_accepted(
+            self, tmp_path, capsys):
         p = tmp_path / "c.cfg"
-        p.write_text(f"[run]\ncommand = {command}\ndt = 0.5\n"
-                     + ("" if by_flag else "integrator = euler\n"))
-        flag = ["--integrator", "euler"] if by_flag else []
-        assert main(["run", "--config", str(p)] + flag) == 2
-        assert "rk4 only" in capsys.readouterr().err
+        p.write_text("[run]\ncommand = simulate\nduration = 0.05\n")
+        assert main(["verify", "--config", str(p)]) == 0
+
+    @pytest.mark.parametrize("command", [
+        c for c in cli.COMMANDS if "duration" in cli.READS[c]])
+    def test_duration_shorter_than_one_step_exits_2(self, capsys, command):
+        assert main([command, "--duration", "0.001", "--dt", "0.01"]) == 2
+        assert "shorter than one step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["track", "sweep"])
+    def test_infeasible_helix_exits_2(self, tmp_path, capsys, command):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"[run]\ncommand = {command}\ndt = 0.01\n"
+                     "duration = 0.1\n[helix]\nradius = 2\nrate = 10\n"
+                     "[sweep]\nki_grid = 8000\n")
+        assert main(["run", "--config", str(p)]) == 2
+        assert "error: commanded specific force" in capsys.readouterr().err
 
     def test_verify_passes_on_defaults(self, capsys):
         assert main(["verify"]) == 0
@@ -251,7 +274,8 @@ class TestMain:
 
     @pytest.mark.parametrize("argv", [
         ["compare", "--dur", "-1e-3"], ["compare", "--dur", "1"],
-        ["compare", "--dur=1"], ["compare", "--int", "euler"]])
+        ["compare", "--dur=1"], ["compare", "--int", "euler"],
+        ["compare", "--integrator", "rk4"]])
     def test_abbreviated_flag_is_unrecognized(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -149,6 +149,11 @@ class TestComparisons:
         with pytest.raises(ValueError):
             ComparisonConfig(oracle_refinement=1)
 
+    @pytest.mark.parametrize("integrator", ["euler", "heun"])
+    def test_config_rejects_integrators_other_than_rk4(self, integrator):
+        with pytest.raises(ValueError, match="integrator must be rk4"):
+            ComparisonConfig(integrator=integrator)
+
 
 def test_diverging_model_is_reported(monkeypatch):
     # a heavy off-axis input drives the literature model into gimbal lock
