@@ -178,9 +178,12 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
     substages.  The plant sees no rotor-level gyroscopic torque (wrench
     commands are applied directly).  Raises InfeasibleAttitude for a
     reference that is infeasible at t = 0; later infeasibility ends the
-    run as diverged.
+    run as diverged.  Raises ValueError for a run shorter than one step.
     """
     n_steps = step_count(spec.duration, dt)
+    if n_steps < 1:
+        raise ValueError(f"duration = {spec.duration:g} is shorter than "
+                         f"one step of dt = {dt:g}")
     y = _reference_start(spec, gains, params).tolist()
     pos_int = [0.0, 0.0, 0.0]
     att_int = [0.0, 0.0, 0.0]

@@ -16,6 +16,7 @@ import numpy as np
 from . import fast
 from .integrators import Trajectory, simulate, step_count
 from .kinematics import (
+    matvec,
     rotation,
     skew,
     w_dot,
@@ -65,13 +66,15 @@ def sample_states(n: int, seed: int):
 
 @dataclass
 class RelationReport:
-    """Max residual per relation over a sampled batch of states."""
+    """Max residual per relation over a sampled batch of states, and the
+    index of the sample where each maximum occurs."""
 
     n_samples: int
     seed: int
     tol: float
     method: str
     residuals: dict[str, float] = field(default_factory=dict)
+    worst: dict[str, int] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -83,73 +86,70 @@ class RelationReport:
             f"(seed {self.seed}, {self.method} partials, "
             f"|pitch| < {PITCH_SAMPLING_BOUND}):"
         ]
+        etas, _ = sample_states(self.n_samples, self.seed)
         for name in RELATION_NAMES:
             r = self.residuals[name]
             verdict = "pass" if r < self.tol else "FAIL"
+            eta = ", ".join(f"{x:+.4f}" for x in etas[self.worst[name]])
             lines.append(f"  {name}: max residual {r:.3e}  "
-                         f"(tol {self.tol:.1e})  {verdict}")
+                         f"(tol {self.tol:.1e})  {verdict}  at eta = ({eta})")
         return "\n".join(lines)
 
 
-def _relation_residuals(eta, eta_dot, method: str) -> dict[str, float]:
+def _relation_residuals(eta, eta_dot, method: str) -> dict[str, np.ndarray]:
+    """Largest residual entry of each relation per state, for states (..., 3)."""
+    if method not in ("analytic", "fd"):
+        raise ValueError(f"unknown method {method!r}")
     w = w_matrix(eta)
     winv = w_inverse(eta)
-    omega = w @ eta_dot
+    omega = matvec(w, eta_dot)
     p = row_jacobians(eta)
 
     if method == "analytic":
         winv_dot = w_inverse_dot(eta, eta_dot)
         wd = w_dot(eta, eta_dot)
-    elif method == "fd":
-        h = FD_STEP
-        winv_dot = (w_inverse(eta + h * eta_dot)
-                    - w_inverse(eta - h * eta_dot)) / (2.0 * h)
-        wd = (w_matrix(eta + h * eta_dot)
-              - w_matrix(eta - h * eta_dot)) / (2.0 * h)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        def central(f, h=FD_STEP):
+            return (f(eta + h * eta_dot) - f(eta - h * eta_dot)) / (2.0 * h)
+        winv_dot, wd = central(w_inverse), central(w_matrix)
 
     res = {}
     # R1: the stacked blocks collapse to skew of the rows of W^-1
-    blocks = sigma_w_inv(eta)
-    res["R1"] = max(np.abs(blocks[i] - skew(winv[i])).max() for i in range(3))
+    res["R1"] = sigma_w_inv(eta) - skew(winv)
     # R2: rows of d(W^-1)/dt equal omega^T ((dw_i/deta) W^-1)^T
-    rows = np.stack([p[i] @ winv @ omega for i in range(3)])
-    res["R2"] = np.abs(winv_dot - rows).max()
+    winv_i = winv[..., None, :, :]   # broadcast over the row index i
+    res["R2"] = winv_dot - matvec(p @ winv_i, omega[..., None, :])
     # R3: W^-1 (d omega/d eta_dot) = I
-    res["R3"] = np.abs(winv @ w - np.eye(3)).max()
+    res["R3"] = winv @ w - np.eye(3)
     # R4: (dW^-1/deta) omega rows match the W^-1-factored form times W
-    lhs = np.stack([omega @ p[i] for i in range(3)])
-    rhs = np.stack([omega @ p[i] @ winv for i in range(3)]) @ w
-    res["R4"] = np.abs(lhs - rhs).max()
+    omega_p = omega[..., None, None, :] @ p    # row i: omega^T P_i
+    res["R4"] = omega_p[..., 0, :] - (omega_p @ winv_i)[..., 0, :] @ w
     # R5: product rule for d/dt(W^-1 W) = 0
-    res["R5"] = np.abs(winv_dot @ w + winv @ wd).max()
-    # R6: W_dot = d omega/d eta - S(omega) W
-    dw = w_partials(eta)
-    domega_deta = np.column_stack([dw[k] @ eta_dot for k in range(3)])
-    res["R6"] = np.abs(wd - (domega_deta - skew(omega) @ w)).max()
+    res["R5"] = winv_dot @ w + winv @ wd
+    # R6: W_dot = d omega/d eta - S(omega) W; column k of d omega/d eta is
+    # (dW/d eta_k) eta_dot
+    domega_deta = np.swapaxes(matvec(w_partials(eta), eta_dot[..., None, :]),
+                              -1, -2)
+    res["R6"] = wd - (domega_deta - skew(omega) @ w)
     # R7: d omega/d eta_dot = W; the body rate vee(R^T R_dot), with R_dot a
     # central difference of R along eta_dot, equals W eta_dot
     h = RATE_FD_STEP
-    s = rotation(eta).T @ (rotation(eta + h * eta_dot)
-                           - rotation(eta - h * eta_dot)) / (2.0 * h)
-    res["R7"] = np.abs(np.array([s[2, 1], s[0, 2], s[1, 0]]) - omega).max()
-    return res
+    s = np.swapaxes(rotation(eta), -1, -2) @ (
+        rotation(eta + h * eta_dot) - rotation(eta - h * eta_dot)) / (2.0 * h)
+    res["R7"] = np.stack([s[..., 2, 1], s[..., 0, 2], s[..., 1, 0]], -1) - omega
+    return {name: np.abs(r).reshape(np.shape(eta)[:-1] + (-1,)).max(-1)
+            for name, r in res.items()}
 
 
 def check_relations(n_samples: int = 1000, seed: int = 0, tol: float = 1e-9,
                     method: str = "analytic") -> RelationReport:
-    """Evaluate the seven relations over random sampled states."""
+    """Evaluate the seven relations over random sampled states at once."""
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
-    etas, eta_dots = sample_states(n_samples, seed)
-    report = RelationReport(n_samples, seed, tol, method,
-                            {name: 0.0 for name in RELATION_NAMES})
-    for eta, eta_dot in zip(etas, eta_dots):
-        for name, r in _relation_residuals(eta, eta_dot, method).items():
-            if r > report.residuals[name]:
-                report.residuals[name] = r
-    return report
+    res = _relation_residuals(*sample_states(n_samples, seed), method)
+    worst = {name: int(np.argmax(r)) for name, r in res.items()}
+    return RelationReport(n_samples, seed, tol, method, {
+        name: float(res[name][i]) for name, i in worst.items()}, worst)
 
 
 @dataclass
@@ -223,8 +223,10 @@ class ComparisonConfig:
     oracle_refinement: int = 100
 
     def __post_init__(self):
-        if self.dt <= 0 or self.duration <= 0:
-            raise ValueError("dt and duration must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.duration < math.inf
+                and step_count(self.duration, self.dt) >= 1):
+            raise ValueError(f"dt = {self.dt:g}, duration = {self.duration:g}: "
+                             f"need finite dt > 0 and at least one step")
         if self.integrator != "rk4":
             raise ValueError(f"integrator must be rk4, got {self.integrator!r}")
         if self.oracle_refinement < 2:
@@ -290,9 +292,7 @@ def simulate_model(model: str, input_fn, cfg: ComparisonConfig,
 
 
 def _as_gen(traj: Trajectory) -> Trajectory:
-    states = np.array([body_to_gen(s) for s in traj.states])
-    return Trajectory(traj.dt, traj.times, states, traj.diverged,
-                      traj.diverged_step, traj.diverged_reason)
+    return replace(traj, states=body_to_gen(traj.states))
 
 
 def _score(table: RmseTable, ref_label: str, ref: Trajectory,

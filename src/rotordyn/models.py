@@ -24,6 +24,7 @@ import numpy as np
 
 from .kinematics import (
     E3,
+    matvec,
     rotation,
     skew,
     w_dot,
@@ -118,15 +119,10 @@ def rotated_inertia(eta, params: QuadParams) -> np.ndarray:
 
 
 def rotated_inertia_partials(eta, params: QuadParams) -> np.ndarray:
-    """Analytic partials dJ_R/d(eta_k), shape (3, 3, 3)."""
-    w = w_matrix(eta)
-    dw = w_partials(eta)
-    jw = params.inertia @ w
-    out = np.empty((3, 3, 3))
-    for k in range(3):
-        m = dw[k].T @ jw
-        out[k] = m + m.T
-    return out
+    """Analytic partials dJ_R/d(eta_k), shape (3, 3, 3):
+    dW_k^T J W plus its transpose."""
+    m = np.swapaxes(w_partials(eta), -1, -2) @ (params.inertia @ w_matrix(eta))
+    return m + np.swapaxes(m, -1, -2)
 
 
 def coriolis_matrix(eta, eta_dot, params: QuadParams) -> np.ndarray:
@@ -169,11 +165,6 @@ def ne_derivative(state, u, params: QuadParams) -> np.ndarray:
     return ne_rates(state, thrust, torque, tau_g, params)
 
 
-def _position_accel(eta, thrust, params: QuadParams) -> np.ndarray:
-    r = rotation(eta)
-    return (thrust / params.mass) * (r @ E3) - params.gravity * E3
-
-
 def _gen_rates(state, thrust, torque, tau_g, params: QuadParams, revised):
     """Euler-Lagrange derivative.  The two models differ only in the
     generalized torque: W^T (M + tau_g) if revised, else M + tau_g."""
@@ -189,7 +180,7 @@ def _gen_rates(state, thrust, torque, tau_g, params: QuadParams, revised):
     out = np.empty(12)
     out[P] = state[PDOT]
     out[ETA] = eta_dot
-    out[PDOT] = _position_accel(eta, thrust, params)
+    out[PDOT] = (thrust / params.mass) * (rotation(eta) @ E3) - params.gravity * E3
     out[ETADOT] = np.linalg.solve(jr, gen_torque - c @ eta_dot)
     return out
 
@@ -235,22 +226,20 @@ def ne_attitude_in_eta(eta, eta_dot, torque, params: QuadParams) -> np.ndarray:
 
 
 def body_to_gen(state) -> np.ndarray:
-    """Convert a (p, eta, v, omega) state to (p, eta, p_dot, eta_dot)."""
-    eta = state[ETA]
-    out = np.empty(12)
-    out[P] = state[P]
-    out[ETA] = eta
-    out[PDOT] = rotation(eta) @ state[V]
-    out[ETADOT] = w_inverse(eta) @ state[OMEGA]
+    """Convert (p, eta, v, omega) states (..., 12) to (p, eta, p_dot, eta_dot)."""
+    state = np.asarray(state, float)
+    eta = state[..., ETA]
+    out = state.copy()
+    out[..., PDOT] = matvec(rotation(eta), state[..., V])
+    out[..., ETADOT] = matvec(w_inverse(eta), state[..., OMEGA])
     return out
 
 
 def gen_to_body(state) -> np.ndarray:
-    """Convert a (p, eta, p_dot, eta_dot) state to (p, eta, v, omega)."""
-    eta = state[ETA]
-    out = np.empty(12)
-    out[P] = state[P]
-    out[ETA] = eta
-    out[V] = rotation(eta).T @ state[PDOT]
-    out[OMEGA] = w_matrix(eta) @ state[ETADOT]
+    """Convert (p, eta, p_dot, eta_dot) states (..., 12) to (p, eta, v, omega)."""
+    state = np.asarray(state, float)
+    eta = state[..., ETA]
+    out = state.copy()
+    out[..., V] = matvec(np.swapaxes(rotation(eta), -1, -2), state[..., PDOT])
+    out[..., OMEGA] = matvec(w_matrix(eta), state[..., ETADOT])
     return out

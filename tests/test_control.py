@@ -178,6 +178,11 @@ class TestTracking:
         assert result.diverged
         assert result.max_error == math.inf or result.max_error > 0.5
 
+    def test_run_shorter_than_one_step_is_rejected(self, params):
+        with pytest.raises(ValueError, match="shorter than one step"):
+            run_tracking("rel", HelixSpec(duration=0.001), Gains(),
+                         params.with_gyro(False), dt=0.01)
+
     def test_max_error_after_skips_transient(self, params):
         spec = HelixSpec(duration=2.0)
         result = run_tracking("rel", spec, Gains(), params.with_gyro(False),

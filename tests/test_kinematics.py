@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rotordyn import kinematics as kin
 from conftest import random_attitudes
@@ -148,3 +149,105 @@ def test_sigma_blocks_collapse_to_skew_rows(rng):
         winv = kin.w_inverse(eta)
         for i, block in enumerate(kin.sigma_w_inv(eta)):
             assert np.allclose(block, kin.skew(winv[i]), atol=1e-10)
+
+
+# -- batches: (..., 3) in, one result per row, bit for bit ------------------
+
+# Few examples each: every example already checks up to six rows.
+BATCH = settings(max_examples=20, deadline=None)
+BATCH_SHAPES = st.one_of(st.integers(1, 6).map(lambda n: (n,)),
+                         st.just((2, 2)))
+
+
+@st.composite
+def attitude_batches(draw):
+    """(eta, eta_dot) batches of one shape, pitch away from gimbal lock."""
+    shape = draw(BATCH_SHAPES)
+    eta = draw(hnp.arrays(np.float64, shape + (3,), elements=ANGLES))
+    eta[..., 1] = draw(hnp.arrays(np.float64, shape, elements=SAFE_PITCH))
+    eta_dot = draw(hnp.arrays(np.float64, shape + (3,),
+                              elements=st.floats(-2.0, 2.0)))
+    return eta, eta_dot
+
+
+# Always tried: a batch of one and a 2 x 2 batch
+ONE_ROW = (np.array([[0.3, -0.4, 0.9]]), np.array([[0.1, -0.2, 0.3]]))
+GRID = (np.array([[[0.0, 0.0, 0.0], [-0.0, 1.2, -3.1]],
+                  [[math.pi, -1.3, 0.5], [0.7, 0.01, -math.pi]]]),
+        np.array([[[0.0, 0.0, 0.0], [1.0, -2.0, 0.5]],
+                  [[-1.5, 0.3, 2.0], [0.0, -0.0, 1.0]]]))
+
+
+def assert_rows_stack(batched, single, *batch_args):
+    """``batched`` on the batch equals ``single`` per row, stacked: same
+    shape and the same bytes (signed zeros included)."""
+    shape = batch_args[0].shape[:-1]
+    rows = zip(*(a.reshape(-1, 3) for a in batch_args))
+    stacked = np.array([single(*row) for row in rows])
+    expected = stacked.reshape(shape + stacked.shape[1:])
+    got = batched(*batch_args)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+BY_ETA = [kin.rotation, kin.w_matrix, kin.w_inverse, kin.w_partials,
+          kin.w_inverse_partials, kin.row_jacobians, kin.sigma_w_inv,
+          kin.skew]
+
+
+@pytest.mark.parametrize("fn", BY_ETA, ids=lambda f: f.__name__)
+@BATCH
+@given(batch=attitude_batches())
+@example(batch=ONE_ROW)
+@example(batch=GRID)
+def test_batch_is_the_stacked_single_results(fn, batch):
+    assert_rows_stack(fn, fn, batch[0])
+
+
+@pytest.mark.parametrize("fn", [kin.w_dot, kin.w_inverse_dot, kin.matvec],
+                         ids=lambda f: f.__name__)
+@BATCH
+@given(batch=attitude_batches())
+@example(batch=ONE_ROW)
+@example(batch=GRID)
+def test_batch_of_pairs_is_the_stacked_single_results(fn, batch):
+    eta, eta_dot = batch
+    if fn is kin.matvec:
+        assert_rows_stack(lambda e, v: fn(kin.w_matrix(e), v),
+                          lambda e, v: fn(kin.w_matrix(e), v), eta, eta_dot)
+    else:
+        assert_rows_stack(fn, fn, eta, eta_dot)
+
+
+@BATCH
+@given(axis=st.integers(1, 3), batch=attitude_batches())
+@example(axis=1, batch=ONE_ROW)
+@example(axis=2, batch=GRID)
+def test_elem_rotation_batch_is_the_stacked_single_results(axis, batch):
+    angles = batch[0][..., 0]
+    single = np.array([kin.elem_rotation(axis, a) for a in angles.ravel()])
+    got = kin.elem_rotation(axis, angles)
+    assert got.tobytes() == single.tobytes()
+    assert got.shape == angles.shape + (3, 3)
+
+
+def test_single_eta_gives_single_matrices():
+    eta = [0.3, -0.4, 0.9]
+    for fn in (kin.rotation, kin.w_matrix, kin.w_inverse):
+        assert fn(eta).shape == (3, 3)
+    for fn in (kin.w_partials, kin.w_inverse_partials, kin.row_jacobians,
+               kin.sigma_w_inv):
+        assert fn(eta).shape == (3, 3, 3)
+
+
+def test_batched_gimbal_lock_names_the_first_locked_row():
+    etas = np.array([[0.1, 0.2, 0.3], [0.0, 1.0, 0.0],
+                     [0.2, math.pi / 2, -0.7], [0.0, -math.pi / 2, 0.0]])
+    with pytest.raises(kin.SingularConfiguration) as exc:
+        kin.w_inverse(etas)
+    message = str(exc.value)
+    assert "batch index 2" in message
+    assert "eta = (0.2, 1.5707963267948966, -0.7)" in message
+    assert f"|det W| = {abs(math.cos(math.pi / 2)):.3e}" in message
+    with pytest.raises(kin.SingularConfiguration, match=r"batch index \(1, 0\)"):
+        kin.w_inverse(etas.reshape(2, 2, 3))

@@ -48,7 +48,8 @@ class TestRelations:
         assert report.passed
 
     def test_r7_fails_for_a_wrong_w(self, monkeypatch):
-        monkeypatch.setattr(lab, "w_matrix", lambda eta: w_matrix(eta).T)
+        monkeypatch.setattr(lab, "w_matrix",
+                            lambda eta: np.swapaxes(w_matrix(eta), -1, -2))
         report = check_relations(n_samples=20, seed=0, tol=1e-9)
         assert report.residuals["R7"] > report.tol
 
@@ -62,6 +63,30 @@ class TestRelations:
         report = check_relations(n_samples=10, seed=0)
         text = report.format_text()
         assert "R1" in text and "pass" in text
+
+    @pytest.mark.parametrize("method", ["analytic", "fd"])
+    def test_batch_residuals_are_the_per_state_residuals(self, method):
+        etas, eta_dots = sample_states(40, seed=5)
+        batch = lab._relation_residuals(etas, eta_dots, method)
+        for i in (0, 17, 39):
+            one = lab._relation_residuals(etas[i], eta_dots[i], method)
+            for name in RELATION_NAMES:
+                assert batch[name].shape == (40,)
+                assert batch[name][i] == one[name]
+
+    def test_report_names_the_worst_state(self):
+        report = check_relations(n_samples=60, seed=4)
+        etas, eta_dots = sample_states(60, seed=4)
+        per_state = lab._relation_residuals(etas, eta_dots, "analytic")
+        assert set(report.worst) == set(RELATION_NAMES)
+        lines = report.format_text().splitlines()[1:]
+        for name, line in zip(RELATION_NAMES, lines):
+            i = report.worst[name]
+            assert report.residuals[name] == per_state[name].max()
+            assert per_state[name][i] == per_state[name].max()
+            eta = ", ".join(f"{x:+.4f}" for x in etas[i])
+            assert line.startswith(f"  {name}:")
+            assert line.endswith(f"at eta = ({eta})")
 
 
 class TestProofChain:
@@ -148,6 +173,13 @@ class TestComparisons:
             ComparisonConfig(dt=0.0)
         with pytest.raises(ValueError):
             ComparisonConfig(oracle_refinement=1)
+
+    @pytest.mark.parametrize("dt, duration", [
+        (0.01, 0.001), (0.01, math.inf), (0.01, math.nan), (math.nan, 1.0),
+        (math.inf, 1.0)])
+    def test_config_rejects_a_run_shorter_than_one_step(self, dt, duration):
+        with pytest.raises(ValueError, match="at least one step"):
+            ComparisonConfig(dt=dt, duration=duration)
 
     @pytest.mark.parametrize("integrator", ["euler", "heun"])
     def test_config_rejects_integrators_other_than_rk4(self, integrator):

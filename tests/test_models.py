@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import random_attitudes
 from rotordyn import fast, models
@@ -30,6 +32,12 @@ def random_full_states(rng, n):
     states = rng.uniform(-1.0, 1.0, (n, 12))
     states[:, 4] *= 1.3  # keep pitch away from gimbal lock
     return states
+
+
+# (..., 12) state batches, every entry (pitch included) within +-1.3
+STATE_BATCHES = st.sampled_from([(1,), (2,), (5,), (2, 2)]).flatmap(
+    lambda shape: hnp.arrays(np.float64, shape + (12,),
+                             elements=st.floats(-1.3, 1.3)))
 
 
 class TestQuadParams:
@@ -218,6 +226,17 @@ class TestStateConversions:
                                atol=1e-12)
             assert np.allclose(body_to_gen(gen_to_body(state)), state,
                                atol=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(states=STATE_BATCHES)
+    @example(states=np.zeros((1, 12)))
+    @example(states=np.arange(48.0).reshape(2, 2, 12) / 40.0)
+    def test_batch_is_the_stacked_single_results(self, states):
+        for convert in (body_to_gen, gen_to_body):
+            single = np.array([convert(s) for s in states.reshape(-1, 12)])
+            got = convert(states)
+            assert got.shape == states.shape
+            assert got.tobytes() == single.reshape(states.shape).tobytes()
 
     def test_velocity_maps(self, params):
         state = np.zeros(12)
