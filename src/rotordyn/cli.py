@@ -12,8 +12,6 @@ import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 
-import numpy as np
-
 from . import control, integrators, lab
 from .lab import ComparisonConfig
 from .models import QuadParams
@@ -55,14 +53,14 @@ class RunConfig:
     compensators: tuple = ("el", "rel")
 
     def input_fn(self):
-        """u(t) = base + amp sin(freq t); the defaults are the drifting
-        preset, ``lab.drifting_rotor_input``."""
-        base = np.array(self.input_base)
-        amp = np.array(self.input_amp)
+        """u(t) = base + amp sin(freq t) as a list of floats; the defaults
+        are the drifting preset, ``lab.drifting_rotor_input``."""
+        pairs = tuple(zip(self.input_base, self.input_amp))
         freq = self.input_freq
 
         def rotor_input(t):
-            return base + amp * math.sin(freq * t)
+            s = math.sin(freq * t)
+            return [b + a * s for b, a in pairs]
         return rotor_input
 
     def comparison(self) -> ComparisonConfig:

@@ -56,7 +56,8 @@ class Gains:
 @dataclass(frozen=True)
 class HelixSpec:
     """Reference trajectory: circle of given radius and angular rate with a
-    constant climb rate."""
+    constant climb rate.  Tangent yaw follows the horizontal velocity and
+    needs a nonzero rate."""
 
     radius: float = 2.0
     rate: float = 1.4          # rad/s
@@ -70,20 +71,24 @@ class HelixSpec:
             raise ValueError("radius and duration must be positive")
         if self.yaw_mode not in ("constant", "tangent"):
             raise ValueError(f"yaw_mode must be constant or tangent: {self.yaw_mode!r}")
+        if self.yaw_mode == "tangent" and self.rate == 0:
+            raise ValueError("tangent yaw needs a nonzero rate")
 
 
 def helix_reference(t: float, spec: HelixSpec):
-    """Reference position, velocity, acceleration and yaw at time t."""
+    """Reference position, velocity and acceleration (tuples of floats) and
+    yaw at time t.  The tangent yaw is the heading of the velocity, made
+    continuous: it equals atan2 of the velocity modulo 2 pi."""
     w = spec.rate
     r = spec.radius
     c, s = math.cos(w * t), math.sin(w * t)
-    p = np.array([r * c, r * s, spec.climb * t])
-    pd = np.array([-r * w * s, r * w * c, spec.climb])
-    pdd = np.array([-r * w * w * c, -r * w * w * s, 0.0])
+    p = (r * c, r * s, spec.climb * t)
+    pd = (-r * w * s, r * w * c, spec.climb)
+    pdd = (-r * w * w * c, -r * w * w * s, 0.0)
     if spec.yaw_mode == "constant":
         psi = spec.yaw
     else:
-        psi = math.atan2(pd[1], pd[0])
+        psi = w * t + math.copysign(math.pi / 2, w)
     return p, pd, pdd, psi
 
 
@@ -97,16 +102,19 @@ def position_outer_loop(p, p_dot, p_ref, pd_ref, pdd_ref, psi_ref,
     ``(thrust, (phi_ref, theta_ref, psi_ref))`` as floats.
     """
     kp, ki, kd = gains.pos_kp, gains.pos_ki, gains.pos_kd
-    f = [a + kd * (vr - v) + kp * (xr - x) + ki * e
-         for x, v, xr, vr, a, e in zip(
-             _floats(p), _floats(p_dot), _floats(p_ref), _floats(pd_ref),
-             _floats(pdd_ref), _floats(int_err))]
-    f[2] += params.gravity
-    fx, fy, fz = f
+    x0, x1, x2 = p
+    v0, v1, v2 = p_dot
+    r0, r1, r2 = p_ref
+    s0, s1, s2 = pd_ref
+    a0, a1, a2 = pdd_ref
+    e0, e1, e2 = int_err
+    fx = a0 + kd * (s0 - v0) + kp * (r0 - x0) + ki * e0
+    fy = a1 + kd * (s1 - v1) + kp * (r1 - x1) + ki * e1
+    fz = a2 + kd * (s2 - v2) + kp * (r2 - x2) + ki * e2 + params.gravity
     norm = math.hypot(fx, fy, fz)
     if fz <= 0.0 or fz / norm < math.cos(MAX_TILT):
         raise InfeasibleAttitude(
-            f"commanded specific force {f} exceeds tilt limit "
+            f"commanded specific force {[fx, fy, fz]} exceeds tilt limit "
             f"{math.degrees(MAX_TILT):.0f} deg")
     u0, u1, u2 = fx / norm, fy / norm, fz / norm
     sp, cp = math.sin(psi_ref), math.cos(psi_ref)
@@ -126,16 +134,19 @@ def attitude_fl_pid(compensator: str, eta, eta_dot, eta_ref, etad_ref,
     """
     if compensator not in ("el", "rel"):
         raise ValueError(f"compensator must be 'el' or 'rel': {compensator!r}")
-    eta = _floats(eta)
-    eta_dot = _floats(eta_dot)
     kp, ki, kd = gains.att_kp, gains.att_ki, gains.att_kd
-    n0, n1, n2 = [a + kd * (rr - r) + kp * (xr - x) + ki * e
-                  for x, r, xr, rr, a, e in zip(
-                      eta, eta_dot, _floats(eta_ref), _floats(etad_ref),
-                      _floats(etadd_ref), _floats(int_err))]
-    sf, cf = math.sin(eta[0]), math.cos(eta[0])
-    st, ct = math.sin(eta[1]), math.cos(eta[1])
-    _check_ct(ct, *eta)
+    x0, x1, x2 = eta
+    v0, v1, v2 = eta_dot
+    r0, r1, r2 = eta_ref
+    s0, s1, s2 = etad_ref
+    a0, a1, a2 = etadd_ref
+    e0, e1, e2 = int_err
+    n0 = a0 + kd * (s0 - v0) + kp * (r0 - x0) + ki * e0
+    n1 = a1 + kd * (s1 - v1) + kp * (r1 - x1) + ki * e1
+    n2 = a2 + kd * (s2 - v2) + kp * (r2 - x2) + ki * e2
+    sf, cf = math.sin(x0), math.cos(x0)
+    st, ct = math.sin(x1), math.cos(x1)
+    _check_ct(ct, x0, x1, x2)
     (j11, j12, j13, j22, j23, j33), (c0, c1, c2) = _attitude_terms(
         sf, cf, st, ct, eta_dot, params)
     tau = (j11 * n0 + j12 * n1 + j13 * n2 + c0,
@@ -220,8 +231,7 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
         if i == n_steps:
             break
 
-        pos_int = [a + (r - x) * dt
-                   for a, r, x in zip(pos_int, p_ref.tolist(), y)]
+        pos_int = [a + (r - x) * dt for a, r, x in zip(pos_int, p_ref, y)]
         att_int = [a + e * dt for a, e in zip(att_int, err)]
 
         def f(_t, yy):
@@ -245,7 +255,7 @@ def _reference_start(spec: HelixSpec, gains: Gains,
     def ff_attitude(t):
         p_ref, pd_ref, pdd_ref, psi_ref = helix_reference(t, spec)
         _, eta_ref = position_outer_loop(p_ref, pd_ref, p_ref, pd_ref,
-                                         pdd_ref, psi_ref, np.zeros(3),
+                                         pdd_ref, psi_ref, (0.0, 0.0, 0.0),
                                          gains, params)
         return np.array(eta_ref)
 

@@ -69,12 +69,13 @@ def _rotate(sf, cf, st, ct, sp, cp, x, y, z):
 
 
 def ne_rates_321(y, thrust, tau, params: QuadParams) -> list:
-    """Newton-Euler derivative; tau is the total body torque incl. gyro."""
+    """Newton-Euler derivative; tau is the total body torque incl. gyro,
+    three floats."""
     _, _, _, phi, theta, psi, vx, vy, vz, wx, wy, wz = _floats(y)
     sf, cf = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
     _check_ct(ct, phi, theta, psi)
-    tx, ty, tz = _floats(tau)
+    tx, ty, tz = tau
     g = params.gravity
     jx, jy, jz = params.jx, params.jy, params.jz
 
@@ -154,8 +155,8 @@ def _solve_sym(jr, rhs):
 
 def _gen_rates(y, thrust, tau, params: QuadParams, revised: bool, u=None):
     """E-L derivative: generalized torque tau (literature) or W^T tau
-    (revised).  With rotor speeds ``u`` the rotor gyroscopic torque at
-    omega = W eta_dot is added to tau first."""
+    (revised).  With rotor speeds ``u`` (a sequence of floats) the rotor
+    gyroscopic torque at omega = W eta_dot is added to tau first."""
     _, _, _, phi, theta, psi, xd, yd, zd, fd, td, pd = _floats(y)
     sf, cf = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
@@ -187,15 +188,16 @@ def rel_rates_321(y, thrust, tau, params: QuadParams) -> list:
 
 def _gyro_body(wx, wy, u, params: QuadParams):
     """Rotor gyroscopic torque (x, y components; z is zero) at body rates
-    (wx, wy, .), as floats."""
+    (wx, wy, .) and rotor speeds ``u`` (a sequence of floats), as floats."""
     if not params.gyro_enabled or params.rotor_inertia == 0.0:
         return 0.0, 0.0
-    s = params.rotor_inertia * relative_rotor_speed(_floats(u))
+    s = params.rotor_inertia * relative_rotor_speed(u)
     # omega x e3 = (wy, -wx, 0)
     return s * wy, -s * wx
 
 
 def ne_derivative_321(y, u, params: QuadParams) -> list:
+    u = _floats(u)
     thrust, (tx, ty, tz) = mixer(u, params)
     y = _floats(y)
     gx, gy = _gyro_body(y[9], y[10], u, params)
@@ -203,10 +205,12 @@ def ne_derivative_321(y, u, params: QuadParams) -> list:
 
 
 def el_lit_derivative_321(y, u, params: QuadParams) -> list:
+    u = _floats(u)
     thrust, tau = mixer(u, params)
     return _gen_rates(y, thrust, tau, params, revised=False, u=u)
 
 
 def rel_derivative_321(y, u, params: QuadParams) -> list:
+    u = _floats(u)
     thrust, tau = mixer(u, params)
     return _gen_rates(y, thrust, tau, params, revised=True, u=u)

@@ -51,9 +51,9 @@ def step_rk4(f, y, t, dt):
 
 def _bad(y) -> bool:
     """True for a NaN, an infinite or a runaway (> DIVERGENCE_LIMIT) entry
-    anywhere in ``y``; NaN fails both comparisons."""
-    lim = DIVERGENCE_LIMIT
-    return not all(-lim <= v <= lim for v in y)
+    anywhere in ``y``.  max skips a NaN that is not first; the sum keeps it."""
+    s = sum(y)
+    return not max(map(abs, y)) <= DIVERGENCE_LIMIT or s != s
 
 
 def step_count(t_final: float, dt: float) -> int:

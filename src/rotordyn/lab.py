@@ -9,6 +9,7 @@ dynamics engine; outputs label it as such.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -229,8 +230,13 @@ class ComparisonConfig:
                              f"need finite dt > 0 and at least one step")
         if self.integrator != "rk4":
             raise ValueError(f"integrator must be rk4, got {self.integrator!r}")
-        if self.oracle_refinement < 2:
-            raise ValueError("oracle_refinement must be >= 2")
+        try:
+            refine = operator.index(self.oracle_refinement)
+        except TypeError:
+            refine = 0
+        if refine < 2:
+            raise ValueError(f"oracle_refinement must be an integer >= 2, "
+                             f"got {self.oracle_refinement!r}")
 
 
 @dataclass

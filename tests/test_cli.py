@@ -1,3 +1,4 @@
+import math
 import pathlib
 
 import numpy as np
@@ -124,6 +125,12 @@ class TestParseConfig:
         assert main(["run", "--config", str(p)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_input_fn_returns_a_list_of_floats(self):
+        u = parse_config("[input]\nbase = 1, 2, 3, 4\namp = 1, 0, 0, 0\n"
+                         "freq = 2\n").input_fn()(0.25)
+        assert type(u) is list and all(type(v) is float for v in u)
+        assert u == [1.0 + math.sin(0.5), 2.0, 3.0, 4.0]
+
     def test_input_keys_without_preset_are_used(self):
         cfg = parse_config("[input]\nbase = 1, 2, 3, 4\n")
         assert cfg.input_preset == "custom"
@@ -196,6 +203,15 @@ class TestMain:
                      "[sweep]\nki_grid = 8000\n")
         assert main(["run", "--config", str(p)]) == 2
         assert "error: commanded specific force" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["track", "sweep"])
+    def test_tangent_yaw_without_rate_exits_2(self, tmp_path, capsys,
+                                              command):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"[run]\ncommand = {command}\n"
+                     "[helix]\nyaw_mode = tangent\nrate = 0\n")
+        assert main(["run", "--config", str(p)]) == 2
+        assert "tangent yaw needs a nonzero rate" in capsys.readouterr().err
 
     def test_verify_passes_on_defaults(self, capsys):
         assert main(["verify"]) == 0

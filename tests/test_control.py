@@ -19,6 +19,8 @@ from rotordyn.control import (
 )
 from rotordyn.fast import ne_rates_321
 from rotordyn.integrators import step_rk4
+from rotordyn.kinematics import rotation, w_matrix
+from rotordyn.models import coriolis_matrix, rotated_inertia
 
 
 class TestGainsAndSpec:
@@ -31,6 +33,9 @@ class TestGainsAndSpec:
             HelixSpec(radius=0.0)
         with pytest.raises(ValueError):
             HelixSpec(yaw_mode="spiral")
+        with pytest.raises(ValueError, match="nonzero rate"):
+            HelixSpec(yaw_mode="tangent", rate=0.0)
+        HelixSpec(yaw_mode="constant", rate=0.0)
 
 
 class TestHelixReference:
@@ -39,8 +44,9 @@ class TestHelixReference:
         h = 1e-6
         for t in (0.0, 1.7, 12.3):
             p0, pd, pdd, _ = helix_reference(t, spec)
-            pp = helix_reference(t + h, spec)[0]
-            pm = helix_reference(t - h, spec)[0]
+            p0 = np.asarray(p0)
+            pp = np.asarray(helix_reference(t + h, spec)[0])
+            pm = np.asarray(helix_reference(t - h, spec)[0])
             assert np.allclose((pp - pm) / (2 * h), pd, atol=1e-6)
             assert np.allclose((pp - 2 * p0 + pm) / h ** 2, pdd, atol=1e-3)
 
@@ -55,7 +61,99 @@ class TestHelixReference:
     def test_tangent_yaw_follows_velocity(self):
         spec = HelixSpec(yaw_mode="tangent")
         _, pd, _, psi = helix_reference(3.0, spec)
-        assert psi == pytest.approx(math.atan2(pd[1], pd[0]))
+        assert math.remainder(psi - math.atan2(pd[1], pd[0]),
+                              2 * math.pi) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("rate", [1.4, -1.4, 0.3])
+    def test_tangent_yaw_is_continuous(self, rate):
+        # atan2 of the velocity wraps from +pi to -pi; the reference must not
+        spec = HelixSpec(yaw_mode="tangent", rate=rate)
+        ts = np.linspace(0.0, 20.0, 2001)
+        psis = [helix_reference(t, spec)[3] for t in ts]
+        assert np.abs(np.diff(psis)).max() < 2.0 * abs(rate) * (ts[1] - ts[0])
+        for t, psi in zip(ts, psis):
+            _, pd, _, _ = helix_reference(t, spec)
+            assert math.remainder(psi - math.atan2(pd[1], pd[0]),
+                                  2 * math.pi) == pytest.approx(0.0, abs=1e-9)
+
+
+class TestFloatControlStep:
+    """One control step is float arithmetic: the step functions return
+    Python floats for float input, and an ndarray, list or tuple argument
+    gives the same bits."""
+
+    @staticmethod
+    def _step_inputs(params):
+        spec = HelixSpec(yaw=0.4)
+        y = control._reference_start(spec, Gains(), params).tolist()
+        y[3:6] = [0.05, -0.1, 0.45]
+        y[9:12] = [0.3, -0.2, 0.1]
+        return spec, y
+
+    @staticmethod
+    def _all_floats(value):
+        if isinstance(value, tuple):
+            return all(TestFloatControlStep._all_floats(v) for v in value)
+        return type(value) is float
+
+    def test_step_functions_return_python_floats(self, params):
+        spec, y = self._step_inputs(params)
+        ref = helix_reference(0.7, spec)
+        rates = control._generalized_rates(y)
+        out = position_outer_loop(y[0:3], rates[0], *ref, [0.1, 0.0, -0.1],
+                                  Gains(), params)
+        assert self._all_floats(ref) and self._all_floats(rates)
+        assert self._all_floats(out)
+        for comp in ("el", "rel"):
+            tau = attitude_fl_pid(comp, y[3:6], rates[1], out[1],
+                                  (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                                  [0.01, -0.02, 0.0], Gains(), params)
+            assert len(tau) == 3 and self._all_floats(tau)
+
+    @pytest.mark.parametrize("kind", [np.array, list, tuple])
+    def test_argument_type_gives_the_same_bits(self, params, kind):
+        spec, y = self._step_inputs(params)
+        p_ref, pd_ref, pdd_ref, psi = helix_reference(0.7, spec)
+        p_dot, eta_dot = control._generalized_rates(y)
+        pos = (y[0:3], p_dot, p_ref, pd_ref, pdd_ref)
+        ie = [0.1, 0.0, -0.1]
+        want_pos = position_outer_loop(*pos, psi, ie, Gains(), params)
+        got_pos = position_outer_loop(*map(kind, pos), psi, kind(ie),
+                                      Gains(), params)
+        assert got_pos == want_pos
+        assert control._generalized_rates(kind(y)) == (p_dot, eta_dot)
+        att = (y[3:6], eta_dot, want_pos[1], [0.2, 0.0, -0.1],
+               [1.0, -2.0, 0.5], [0.01, -0.02, 0.0])
+        for comp in ("el", "rel"):
+            want = attitude_fl_pid(comp, *att, Gains(), params)
+            got = attitude_fl_pid(comp, *map(kind, att), Gains(), params)
+            assert [float(v) for v in got] == list(want)
+
+    def test_every_pid_term_enters_its_own_axis(self, params):
+        # distinct nonzero values in every argument and gain: a term taken
+        # from the wrong axis would not cancel
+        rng = np.random.default_rng(7)
+        gains = Gains(pos_kp=6.0, pos_ki=1.5, pos_kd=4.0, att_kp=900.0,
+                      att_ki=8e3, att_kd=22.0)
+        x, v, xr, vr, a, e = rng.uniform(-0.5, 0.5, (6, 3))
+        f = a + 4.0 * (vr - v) + 6.0 * (xr - x) + 1.5 * e
+        f[2] += params.gravity
+        thrust, eta_ref = position_outer_loop(x, v, xr, vr, a, 0.3, e,
+                                              gains, params)
+        got = thrust / params.mass * rotation(eta_ref) @ [0.0, 0.0, 1.0]
+        assert np.allclose(got, f, rtol=0.0, atol=1e-12)
+
+        eta, etad, er, erd, erdd, ie = rng.uniform(-0.5, 0.5, (6, 3))
+        nu = erdd + 22.0 * (erd - etad) + 900.0 * (er - eta) + 8e3 * ie
+        want = rotated_inertia(eta, params) @ nu + (
+            coriolis_matrix(eta, etad, params) @ etad)
+        got = attitude_fl_pid("el", eta, etad, er, erd, erdd, ie, gains,
+                              params)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        got = attitude_fl_pid("rel", eta, etad, er, erd, erdd, ie, gains,
+                              params)
+        assert np.allclose(w_matrix(eta).T @ got, want, rtol=1e-12,
+                           atol=1e-12)
 
 
 class TestOuterLoop:
@@ -182,6 +280,15 @@ class TestTracking:
         with pytest.raises(ValueError, match="shorter than one step"):
             run_tracking("rel", HelixSpec(duration=0.001), Gains(),
                          params.with_gyro(False), dt=0.01)
+
+    @pytest.mark.parametrize("rate", [1.4, -1.4])
+    def test_tangent_yaw_helix_is_tracked(self, params, rate):
+        # the heading passes +-pi after a quarter turn (t = 1.12 s)
+        spec = HelixSpec(yaw_mode="tangent", rate=rate, duration=10.0)
+        result = run_tracking("rel", spec, Gains(), params.with_gyro(False),
+                              dt=2e-3)
+        assert not result.diverged, result.diverged_reason
+        assert result.max_error_after(2.0) < 1e-3
 
     def test_max_error_after_skips_transient(self, params):
         spec = HelixSpec(duration=2.0)

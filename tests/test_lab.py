@@ -174,6 +174,13 @@ class TestComparisons:
         with pytest.raises(ValueError):
             ComparisonConfig(oracle_refinement=1)
 
+    @pytest.mark.parametrize("refine", [2.5, 10.0, "10", None, math.nan])
+    def test_config_rejects_a_non_integer_refinement(self, refine):
+        with pytest.raises(ValueError, match="oracle_refinement must be an "
+                                             "integer"):
+            ComparisonConfig(dt=0.01, duration=0.05, oracle_refinement=refine)
+        assert ComparisonConfig(oracle_refinement=np.int64(10))
+
     @pytest.mark.parametrize("dt, duration", [
         (0.01, 0.001), (0.01, math.inf), (0.01, math.nan), (math.nan, 1.0),
         (math.inf, 1.0)])

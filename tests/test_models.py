@@ -278,6 +278,8 @@ class TestFastPath:
             want = fn(state, u, params)
             for same in (list(state), tuple(state.tolist())):
                 assert np.array_equal(fn(same, u, params), want)
+            for same_u in (u.tolist(), tuple(u.tolist())):
+                assert np.array_equal(fn(state, same_u, params), want)
             tau = rng.uniform(-0.05, 0.05, 3)
             want = fast.ne_rates_321(state, 2.0, tau, params)
             for same in (state.tolist(), tuple(state)):
