@@ -49,8 +49,8 @@ class Gains:
 
     def __post_init__(self):
         for name in ("pos_kp", "pos_ki", "pos_kd", "att_kp", "att_ki", "att_kd"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,9 @@ class HelixSpec:
     duration: float = 60.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.radius, self.rate, self.climb,
+                                       self.yaw, self.duration))):
+            raise ValueError("helix fields must be finite")
         if self.radius <= 0 or self.duration <= 0:
             raise ValueError("radius and duration must be positive")
         if self.yaw_mode not in ("constant", "tangent"):
@@ -189,8 +192,11 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
     substages.  The plant sees no rotor-level gyroscopic torque (wrench
     commands are applied directly).  Raises InfeasibleAttitude for a
     reference that is infeasible at t = 0; later infeasibility ends the
-    run as diverged.  Raises ValueError for a run shorter than one step.
+    run as diverged.  Raises ValueError for a step that is not finite and
+    positive, or a run shorter than one step.
     """
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt = {dt:g}: need finite dt > 0")
     n_steps = step_count(spec.duration, dt)
     if n_steps < 1:
         raise ValueError(f"duration = {spec.duration:g} is shorter than "

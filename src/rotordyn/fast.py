@@ -68,14 +68,18 @@ def _rotate(sf, cf, st, ct, sp, cp, x, y, z):
             -st * x + (ct * sf) * y + (ct * cf) * z)
 
 
-def ne_rates_321(y, thrust, tau, params: QuadParams) -> list:
-    """Newton-Euler derivative; tau is the total body torque incl. gyro,
-    three floats."""
+def ne_rates_321(y, thrust, tau, params: QuadParams, u=None) -> list:
+    """Newton-Euler derivative; tau is the body torque, three floats.  With
+    rotor speeds ``u`` (a sequence of floats) the rotor gyroscopic torque
+    at the state's body rates is added to tau first."""
     _, _, _, phi, theta, psi, vx, vy, vz, wx, wy, wz = _floats(y)
     sf, cf = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
     _check_ct(ct, phi, theta, psi)
     tx, ty, tz = tau
+    if u is not None:
+        gx, gy = _gyro_body(wx, wy, u, params)
+        tx, ty = tx + gx, ty + gy
     g = params.gravity
     jx, jy, jz = params.jx, params.jy, params.jz
 
@@ -198,10 +202,8 @@ def _gyro_body(wx, wy, u, params: QuadParams):
 
 def ne_derivative_321(y, u, params: QuadParams) -> list:
     u = _floats(u)
-    thrust, (tx, ty, tz) = mixer(u, params)
-    y = _floats(y)
-    gx, gy = _gyro_body(y[9], y[10], u, params)
-    return ne_rates_321(y, thrust, (tx + gx, ty + gy, tz), params)
+    thrust, tau = mixer(u, params)
+    return ne_rates_321(y, thrust, tau, params, u=u)
 
 
 def el_lit_derivative_321(y, u, params: QuadParams) -> list:

@@ -1,14 +1,17 @@
 """Fixed-step classical RK4 with trajectory recording.
 
 The state is carried as a list of Python floats: a derivative function
-f(t, y) receives y as a list and returns dy/dt as any length-n sequence
-of numbers.  f may raise SingularConfiguration; ``simulate`` turns that
-(and NaN/Inf or runaway states) into a Diverged marker on the returned
-trajectory rather than an exception.  Only the recorded rows are numpy.
+f(t, y) receives y as a list and returns exactly n numbers, dy/dt, for a
+state of length n (any other length is a ValueError).  f may raise
+SingularConfiguration; ``simulate`` turns that (and NaN/Inf or runaway
+states) into a Diverged marker on the returned trajectory rather than an
+exception.  Only the recorded rows are numpy.  The RK4 stage arithmetic
+is written out per component, in a step function built once per length.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,20 +36,34 @@ class Trajectory:
         return len(self.times)
 
 
+@functools.cache
+def _rk4_step(n: int):
+    """The RK4 step for states of length n, every stage written out one
+    component at a time; built from n alone, as dataclasses builds
+    ``__init__``, and unpacking exactly n values from y and from f."""
+    def row(fmt):
+        return "[" + ", ".join(fmt.format(i) for i in range(n)) + "]"
+    namespace = {}
+    exec(f"def step(f, y, t, dt):\n"
+         f"    {row('a{0}')} = y\n"
+         f"    half = 0.5 * dt\n"
+         f"    {row('p{0}')} = f(t, y)\n"
+         f"    {row('q{0}')} = f(t + half, {row('a{0} + half * p{0}')})\n"
+         f"    {row('r{0}')} = f(t + half, {row('a{0} + half * q{0}')})\n"
+         f"    {row('s{0}')} = f(t + dt, {row('a{0} + dt * r{0}')})\n"
+         f"    c = dt / 6.0\n"
+         f"    return {row('a{0} + c * (p{0} + 2.0 * q{0} + 2.0 * r{0} + s{0})')}",
+         namespace)
+    return namespace["step"]
+
+
 def step_rk4(f, y, t, dt):
     """One classical fourth-order Runge-Kutta step.
 
     Element by element the arithmetic is that of the array expression
     y + (dt/6) * (k1 + 2 k2 + 2 k3 + k4), in the same order.
     """
-    half = 0.5 * dt
-    k1 = f(t, y)
-    k2 = f(t + half, [a + half * k for a, k in zip(y, k1)])
-    k3 = f(t + half, [a + half * k for a, k in zip(y, k2)])
-    k4 = f(t + dt, [a + dt * k for a, k in zip(y, k3)])
-    c = dt / 6.0
-    return [a + c * (p + 2.0 * q + 2.0 * r + s)
-            for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+    return _rk4_step(len(y))(f, y, t, dt)
 
 
 def _bad(y) -> bool:
@@ -69,8 +86,8 @@ def simulate(f, y0, t_final, dt, *, n_steps: int | None = None) -> Trajectory:
     exceeding DIVERGENCE_LIMIT, or a SingularConfiguration, the trajectory
     is truncated and marked diverged.
     """
-    if dt <= 0 or t_final <= 0:
-        raise ValueError("dt and t_final must be positive")
+    if not (0 < dt < np.inf and 0 < t_final < np.inf):
+        raise ValueError("need finite dt > 0 and t_final > 0")
     n_steps = step_count(t_final, dt) if n_steps is None else n_steps
     y = np.array(y0, dtype=float).tolist()
     if _bad(y):

@@ -18,6 +18,7 @@ State vectors are flat length-12 arrays, sliced by ``P`` and ``ETA``
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,6 +60,8 @@ class QuadParams:
     gyro_enabled: bool = True
 
     def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ValueError(f"parameters must be finite: {self}")
         if self.mass <= 0 or self.jx <= 0 or self.jy <= 0 or self.jz <= 0:
             raise ValueError("mass and inertia diagonal must be positive")
         if self.arm <= 0 or self.drag_coeff <= 0 or self.thrust_coeff < 0:

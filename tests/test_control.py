@@ -28,6 +28,20 @@ class TestGainsAndSpec:
         with pytest.raises(ValueError):
             Gains(att_kp=-1.0)
 
+    @pytest.mark.parametrize("name", ["pos_kp", "pos_ki", "pos_kd",
+                                      "att_kp", "att_ki", "att_kd"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_gains_reject_non_finite(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            Gains(**{name: value})
+
+    @pytest.mark.parametrize("name", ["radius", "rate", "climb", "yaw",
+                                      "duration"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_helix_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            HelixSpec(**{name: value})
+
     def test_helix_validation(self):
         with pytest.raises(ValueError):
             HelixSpec(radius=0.0)
@@ -280,6 +294,14 @@ class TestTracking:
         with pytest.raises(ValueError, match="shorter than one step"):
             run_tracking("rel", HelixSpec(duration=0.001), Gains(),
                          params.with_gyro(False), dt=0.01)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.inf, math.nan])
+    def test_zero_or_non_finite_step_is_rejected(self, params, dt):
+        spec = HelixSpec(duration=0.01)
+        with pytest.raises(ValueError, match="finite dt > 0"):
+            run_tracking("rel", spec, Gains(), params, dt)
+        with pytest.raises(ValueError, match="finite dt > 0"):
+            gain_sweep(["rel"], [8e3], Gains(), spec, params, dt)
 
     @pytest.mark.parametrize("rate", [1.4, -1.4])
     def test_tangent_yaw_helix_is_tracked(self, params, rate):

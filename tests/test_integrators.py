@@ -8,6 +8,7 @@ from rotordyn.integrators import (
     DIVERGENCE_LIMIT,
     Trajectory,
     _bad,
+    _rk4_step,
     simulate,
     step_count,
     step_rk4,
@@ -59,6 +60,59 @@ class TestSteps:
             got = step_rk4(f, y0.tolist(), 0.3, 0.01)
             assert all(type(v) is float for v in got)
             assert np.array_equal(got, want)
+
+
+def rk4_comprehensions(f, y, t, dt):
+    """RK4 as list comprehensions over zip: the reference for step_rk4."""
+    half = 0.5 * dt
+    k1 = f(t, y)
+    k2 = f(t + half, [a + half * k for a, k in zip(y, k1)])
+    k3 = f(t + half, [a + half * k for a, k in zip(y, k2)])
+    k4 = f(t + dt, [a + dt * k for a, k in zip(y, k3)])
+    c = dt / 6.0
+    return [a + c * (p + 2.0 * q + 2.0 * r + s)
+            for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+
+
+def wavy(t, y):
+    return [math.sin(3.0 * v + t) * (i - 1.5) for i, v in enumerate(y)]
+
+
+def negative_zero(t, y):
+    return [-0.0 for _ in y]
+
+
+class TestWrittenOutStep:
+    @pytest.mark.parametrize("n", [1, 2, 3, 12])
+    @pytest.mark.parametrize("container", [list, tuple, np.array])
+    @pytest.mark.parametrize("f", [wavy, negative_zero, exponential])
+    def test_bit_identical_to_comprehensions(self, n, container, f):
+        rng = np.random.default_rng(n)
+        for dt in (0.01, 0.3, -0.0):
+            y0 = rng.uniform(-2.0, 2.0, n)
+            y0[::2] = -0.0
+            y0[1::3] = 0.0
+            y = container(y0.tolist())
+            want = rk4_comprehensions(f, y, 0.7, dt)
+            got = step_rk4(f, y, 0.7, dt)
+            assert len(got) == n
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_step_function_is_built_once_per_length(self):
+        _rk4_step.cache_clear()
+        for n in (2, 5, 2, 2, 5):
+            step_rk4(exponential, [1.0] * n, 0.0, 0.1)
+        info = _rk4_step.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (2, 2, 3)
+
+    @pytest.mark.parametrize("f", [lambda t, y: [1.0],
+                                   lambda t, y: [1.0, 2.0, 3.0]])
+    def test_derivative_of_wrong_length_is_an_error(self, f):
+        with pytest.raises(ValueError, match="values to unpack"):
+            step_rk4(f, [1.0, 2.0], 0.0, 0.1)
+        with pytest.raises(ValueError, match="values to unpack"):
+            simulate(f, [1.0, 2.0], 0.3, 0.1)
 
 
 class TestDivergenceTest:
@@ -119,6 +173,13 @@ class TestSimulate:
             simulate(exponential, [1.0], -1.0, 0.1)
         with pytest.raises(ValueError):
             simulate(exponential, [math.nan], 1.0, 0.1)
+
+    @pytest.mark.parametrize("t_final, dt", [
+        (1.0, 0.0), (1.0, math.inf), (1.0, math.nan), (1.0, -math.inf),
+        (math.inf, 0.1), (math.nan, 0.1)])
+    def test_rejects_zero_or_non_finite_step_and_duration(self, t_final, dt):
+        with pytest.raises(ValueError, match="finite dt > 0"):
+            simulate(exponential, [1.0], t_final, dt)
 
     def test_marks_runaway_as_diverged(self):
         traj = simulate(lambda t, y: [100.0 * v for v in y], [1.0], 10.0,

@@ -58,6 +58,14 @@ class TestQuadParams:
         with pytest.raises(ValueError):
             QuadParams(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [
+        "mass", "jx", "jy", "jz", "gravity", "arm", "thrust_coeff",
+        "drag_coeff", "rotor_inertia"])
+    def test_rejects_non_finite_values(self, name, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            QuadParams(**{name: value})
+
     def test_inertia_matrix(self, params):
         assert np.allclose(params.inertia @ params.inertia_inv, np.eye(3))
 
@@ -268,6 +276,23 @@ class TestFastPath:
             got = fast.ne_rates_321(state, thrust, tau, params)
             want = models.ne_rates(state, thrust, tau, np.zeros(3), params)
             assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("gyro", [True, False])
+    def test_ne_rates_with_rotor_speeds_is_the_gyro_composition(self, gyro,
+                                                                rng):
+        # u= adds _gyro_body at the state's body rates to tau, bit for bit
+        p = QuadParams().with_gyro(gyro)
+        for state in random_full_states(rng, 300):
+            y = state.tolist()
+            u = rng.uniform(300.0, 600.0, 4).tolist()
+            thrust, (tx, ty, tz) = mixer(u, p)
+            gx, gy = fast._gyro_body(y[9], y[10], u, p)
+            assert ((gx, gy) != (0.0, 0.0)) is gyro
+            want = fast.ne_rates_321(y, thrust, (tx + gx, ty + gy, tz), p)
+            got = fast.ne_rates_321(y, thrust, (tx, ty, tz), p, u=u)
+            assert got == want
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert fast.ne_derivative_321(state, np.array(u), p) == want
 
     @pytest.mark.parametrize("fn", [fast.ne_derivative_321,
                                     fast.el_lit_derivative_321,
