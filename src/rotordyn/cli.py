@@ -240,7 +240,7 @@ def _write_rows(rows, path: str):
     try:
         with open(path, "w", newline="") as fh:
             for row in rows:
-                fh.write(",".join(str(c) for c in row) + "\n")
+                fh.write(",".join(map(str, row)) + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc}")
 
@@ -249,8 +249,8 @@ def _write_series(header, times, values, path: str):
     """Time series as CSV: the header, then t and one vector per row."""
     def rows():
         yield header
-        for t, v in zip(times, values):
-            yield [repr(float(t))] + [repr(float(x)) for x in v]
+        for t, v in zip(times.tolist(), values):
+            yield [t, *v.tolist()]   # str(float) is repr(float)
     _write_rows(rows(), path)
 
 

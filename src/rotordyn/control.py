@@ -166,7 +166,6 @@ class TrackingResult:
 
     dt: float
     times: np.ndarray
-    states: np.ndarray            # Newton-Euler plant states
     attitude_error: np.ndarray    # eta_ref - eta per sample
     diverged: bool
     diverged_reason: str = ""
@@ -202,18 +201,18 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
         raise ValueError(f"duration = {spec.duration:g} is shorter than "
                          f"one step of dt = {dt:g}")
     y = _reference_start(spec, gains, params).tolist()
-    pos_int = [0.0, 0.0, 0.0]
-    att_int = [0.0, 0.0, 0.0]
+    q0 = q1 = q2 = 0.0    # integral of the position error
+    a0 = a1 = a2 = 0.0    # integral of the attitude error
     zero3 = (0.0, 0.0, 0.0)
-
-    times = dt * np.arange(n_steps + 1)
-    states = np.empty((n_steps + 1, 12))
     errors = np.empty((n_steps + 1, 3))
-    states[0] = y
+    error_row = memoryview(errors)   # float stores with no ndarray call
 
-    def record_fail(i, reason):
-        return TrackingResult(dt, times[:i], states[:i], errors[:i],
-                              diverged=True, diverged_reason=reason)
+    def f(_t, yy):   # the plant under the wrench of the current step
+        return ne_rates_321(yy, thrust, torque, params)
+
+    def result(rows, reason=None):   # the first rows; diverged unless None
+        return TrackingResult(dt, dt * np.arange(rows), errors[:rows],
+                              reason is not None, reason or "")
 
     for i in range(n_steps + 1):
         t = i * dt
@@ -223,34 +222,34 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
             p_dot, eta_dot = _generalized_rates(y)
             thrust, eta_ref = position_outer_loop(
                 y[0:3], p_dot, p_ref, pd_ref, pdd_ref, psi_ref,
-                pos_int, gains, params)
+                (q0, q1, q2), gains, params)
             torque = attitude_fl_pid(compensator, eta, eta_dot, eta_ref,
-                                     zero3, zero3, att_int, gains, params)
+                                     zero3, zero3, (a0, a1, a2), gains, params)
         except (InfeasibleAttitude, SingularConfiguration) as exc:
-            return record_fail(i, str(exc))
+            return result(i, str(exc))
 
-        err = [r - e for r, e in zip(eta_ref, eta)]
-        errors[i] = err
-        states[i] = y
-        if max(map(abs, err)) > ERROR_LIMIT:
-            return record_fail(i + 1, "attitude error limit exceeded")
+        e0, e1, e2 = eta_ref[0] - y[3], eta_ref[1] - y[4], eta_ref[2] - y[5]
+        error_row[i, 0], error_row[i, 1], error_row[i, 2] = e0, e1, e2
+        if max(abs(e0), abs(e1), abs(e2)) > ERROR_LIMIT:
+            return result(i + 1, "attitude error limit exceeded")
         if i == n_steps:
             break
 
-        pos_int = [a + (r - x) * dt for a, r, x in zip(pos_int, p_ref, y)]
-        att_int = [a + e * dt for a, e in zip(att_int, err)]
-
-        def f(_t, yy):
-            return ne_rates_321(yy, thrust, torque, params)
+        q0 += (p_ref[0] - y[0]) * dt
+        q1 += (p_ref[1] - y[1]) * dt
+        q2 += (p_ref[2] - y[2]) * dt
+        a0 += e0 * dt
+        a1 += e1 * dt
+        a2 += e2 * dt
 
         try:
             y = step_rk4(f, y, t, dt)
         except SingularConfiguration as exc:
-            return record_fail(i + 1, str(exc))
+            return result(i + 1, str(exc))
         if _bad(y):
-            return record_fail(i + 1, "plant state diverged")
+            return result(i + 1, "plant state diverged")
 
-    return TrackingResult(dt, times, states, errors, diverged=False)
+    return result(n_steps + 1)
 
 
 def _reference_start(spec: HelixSpec, gains: Gains,

@@ -12,6 +12,7 @@ is written out per component, in a step function built once per length.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +69,11 @@ def step_rk4(f, y, t, dt):
 
 def _bad(y) -> bool:
     """True for a NaN, an infinite or a runaway (> DIVERGENCE_LIMIT) entry
-    anywhere in ``y``.  max skips a NaN that is not first; the sum keeps it."""
+    anywhere in ``y``.  One hypot call passes a sound state: it is at least
+    max |y_i|, and NaN or inf if any entry is.  Past it, max skips a NaN
+    that is not first; the sum keeps it."""
+    if math.hypot(*y) <= DIVERGENCE_LIMIT:
+        return False
     s = sum(y)
     return not max(map(abs, y)) <= DIVERGENCE_LIMIT or s != s
 
@@ -84,21 +89,24 @@ def simulate(f, y0, t_final, dt, *, n_steps: int | None = None) -> Trajectory:
     The grid has n_steps + 1 samples (default step_count(t_final, dt)),
     with times i * dt (no accumulated addition).  On NaN/Inf, a component
     exceeding DIVERGENCE_LIMIT, or a SingularConfiguration, the trajectory
-    is truncated and marked diverged.
+    is truncated and marked diverged.  Fewer than one step is a ValueError.
     """
     if not (0 < dt < np.inf and 0 < t_final < np.inf):
         raise ValueError("need finite dt > 0 and t_final > 0")
     n_steps = step_count(t_final, dt) if n_steps is None else n_steps
+    if n_steps < 1:
+        raise ValueError(f"n_steps = {n_steps}: need at least one step")
     y = np.array(y0, dtype=float).tolist()
     if _bad(y):
         raise ValueError("initial state is not finite")
+    step = _rk4_step(len(y))
 
     states = np.empty((n_steps + 1, len(y)))
     states[0] = y
     for i in range(n_steps):
         t = i * dt
         try:
-            y = step_rk4(f, y, t, dt)
+            y = step(f, y, t, dt)
         except SingularConfiguration as exc:
             return Trajectory(dt, dt * np.arange(i + 1), states[:i + 1],
                               diverged=True, diverged_step=i,

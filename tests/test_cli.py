@@ -344,3 +344,18 @@ def test_shipped_config_runs(tmp_path, capsys, path):
     if path.name == "fig1.cfg":
         last = out.read_text().splitlines()[-1]
         assert float(last.split(",")[0]) == pytest.approx(0.02)
+
+
+def test_series_csv_bytes_are_repr_of_each_float(tmp_path):
+    tiny = 5e-324
+    times = np.array([0.0, 0.01, 1e300])
+    values = np.array([[-0.0, tiny, -tiny],
+                       [2.2250738585072014e-308, 1e300, -1e-300],
+                       [0.1, math.pi, -1.7976931348623157e308]])
+    path = tmp_path / "s.csv"
+    cli._write_series(["t", "a", "b", "c"], times, values, str(path))
+    want = "t,a,b,c\n" + "".join(
+        ",".join([repr(float(t))] + [repr(float(x)) for x in v]) + "\n"
+        for t, v in zip(times, values))
+    assert path.read_bytes() == want.encode()
+    assert "-0.0,5e-324,-5e-324" in want

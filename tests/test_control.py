@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from rotordyn.control import (
 )
 from rotordyn.fast import ne_rates_321
 from rotordyn.integrators import step_rk4
-from rotordyn.kinematics import rotation, w_matrix
+from rotordyn.kinematics import SingularConfiguration, rotation, w_matrix
 from rotordyn.models import coriolis_matrix, rotated_inertia
 
 
@@ -317,6 +318,86 @@ class TestTracking:
         result = run_tracking("rel", spec, Gains(), params.with_gyro(False),
                               dt=2e-3)
         assert result.max_error_after(1.0) <= result.max_error
+
+
+class TestTrackingExits:
+    """Every exit of run_tracking records one error row per control step it
+    completed: i rows when the controller fails at step i, i + 1 when the
+    error limit or the plant ends the run at step i."""
+
+    SPEC = HelixSpec(duration=0.2)
+    DT = 5e-3
+    K = 7
+
+    def run(self, params):
+        return run_tracking("rel", self.SPEC, Gains(), params.with_gyro(False),
+                            self.DT)
+
+    def plant_fails_at(self, monkeypatch, k, fail):
+        """control.step_rk4 runs the real step, then hands its result to
+        ``fail`` on the k-th call (0-based)."""
+        calls = itertools.count()
+
+        def stepper(f, y, t, dt):
+            y = step_rk4(f, y, t, dt)
+            return fail(y) if next(calls) == k else y
+        monkeypatch.setattr(control, "step_rk4", stepper)
+
+    def check(self, result, full, rows, reason):
+        assert len(result.times) == len(result.attitude_error) == rows
+        assert np.array_equal(result.times, full.times[:rows])
+        assert np.array_equal(result.attitude_error,
+                              full.attitude_error[:rows])
+        assert result.diverged is (reason is not None)
+        if reason is not None:
+            assert reason in result.diverged_reason
+
+    def test_completed_run_has_one_row_per_step_and_the_start(self, params):
+        result = self.run(params)
+        self.check(result, result, 41, None)
+        assert result.diverged_reason == ""
+
+    # a plant state handed back by step K: at step K + 1 the controller
+    # meets gimbal lock or an infeasible tilt (K + 1 rows), or the plant
+    # check flags it at step K (K + 1 rows)
+    @pytest.mark.parametrize("index, value, reason", [
+        (4, math.pi / 2, "|cos theta|"),
+        (2, 1e3, "tilt limit"),
+        (9, math.nan, "plant state diverged")])
+    def test_failure_after_plant_step_k_keeps_k_plus_one_rows(
+            self, params, monkeypatch, index, value, reason):
+        full = self.run(params)
+
+        def poison(y):
+            y[index] = value
+            return y
+        self.plant_fails_at(monkeypatch, self.K, poison)
+        self.check(self.run(params), full, self.K + 1, reason)
+
+    def test_singular_plant_step_i_keeps_i_plus_one_rows(self, params,
+                                                         monkeypatch):
+        full = self.run(params)
+        calls = itertools.count()
+
+        def rates(y, thrust, torque, params):
+            if next(calls) == 4 * self.K + 2:
+                raise SingularConfiguration("injected gimbal lock")
+            return ne_rates_321(y, thrust, torque, params)
+        monkeypatch.setattr(control, "ne_rates_321", rates)
+        self.check(self.run(params), full, self.K + 1, "injected gimbal lock")
+
+    def test_error_limit_keeps_the_row_that_exceeds_it(self, params):
+        spec = HelixSpec(duration=10.0)
+        result = run_tracking("el", spec, Gains(att_ki=40e3),
+                              params.with_gyro(False), dt=2e-3)
+        assert result.diverged_reason == "attitude error limit exceeded"
+        assert len(result.times) == len(result.attitude_error)
+        assert np.array_equal(result.times,
+                              2e-3 * np.arange(len(result.times)))
+        last = np.abs(result.attitude_error[-1]).max()
+        assert last > control.ERROR_LIMIT
+        assert np.abs(result.attitude_error[:-1]).max() <= control.ERROR_LIMIT
+        assert result.max_error == last
 
 
 class TestSweep:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rotordyn import fast
 from rotordyn.integrators import (
@@ -106,6 +108,13 @@ class TestWrittenOutStep:
         info = _rk4_step.cache_info()
         assert (info.currsize, info.misses, info.hits) == (2, 2, 3)
 
+    def test_simulate_looks_the_step_up_once_per_run(self):
+        _rk4_step.cache_clear()
+        for _ in range(2):
+            simulate(exponential, [1.0, 2.0, 3.0], 1.0, 0.1)
+        info = _rk4_step.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     @pytest.mark.parametrize("f", [lambda t, y: [1.0],
                                    lambda t, y: [1.0, 2.0, 3.0]])
     def test_derivative_of_wrong_length_is_an_error(self, f):
@@ -139,6 +148,37 @@ class TestDivergenceTest:
         y = np.full(12, -DIVERGENCE_LIMIT)
         y[0] = DIVERGENCE_LIMIT
         assert not _bad(y)
+
+
+def exact_bad(y) -> bool:
+    """The divergence rule entry by entry: a NaN, an inf or |y_i| above
+    the limit anywhere."""
+    return any(not abs(v) <= DIVERGENCE_LIMIT for v in y)
+
+
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308,
+                     5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0,
+                     DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT,
+                     math.nextafter(DIVERGENCE_LIMIT, math.inf),
+                     -math.nextafter(DIVERGENCE_LIMIT, math.inf)]),
+    st.floats(0.5 * DIVERGENCE_LIMIT, 2.0 * DIVERGENCE_LIMIT),
+    st.floats(-2.0 * DIVERGENCE_LIMIT, -0.5 * DIVERGENCE_LIMIT),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.floats(-1.0, 1.0),
+)
+
+
+class TestDivergenceRuleProperty:
+    @given(st.lists(EDGE_FLOATS, min_size=12, max_size=12))
+    @example([DIVERGENCE_LIMIT] * 12)
+    @example([1e308] * 2 + [0.0] * 10)
+    @example([math.nan, math.inf] + [0.0] * 10)
+    @example([0.0] * 11 + [math.nan])
+    def test_equals_the_entrywise_rule(self, y):
+        assert _bad(y) is exact_bad(y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _bad(np.array(y)) == exact_bad(y)
 
 
 class TestConvergenceOrder:
@@ -214,6 +254,15 @@ class TestStepCount:
     def test_n_steps_is_keyword_only(self):
         with pytest.raises(TypeError):
             simulate(exponential, [1.0], 1.0, 0.1, "rk4")
+
+    @pytest.mark.parametrize("n_steps", [-1, 0])
+    def test_fewer_than_one_step_is_rejected(self, n_steps):
+        with pytest.raises(ValueError, match="at least one step"):
+            simulate(exponential, [1.0], 1.0, 0.1, n_steps=n_steps)
+
+    def test_duration_shorter_than_one_step_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one step"):
+            simulate(exponential, [1.0], 0.05, 0.1)
 
     def test_simulate_takes_n_steps_when_given(self):
         traj = simulate(exponential, [1.0], 0.049999999995, 1e-4,
