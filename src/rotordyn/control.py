@@ -18,7 +18,6 @@ import numpy as np
 from .fast import (
     _attitude_terms,
     _check_ct,
-    _floats,
     _rotate,
     _w_inv,
     _w_inv_t,
@@ -279,7 +278,8 @@ def _reference_start(spec: HelixSpec, gains: Gains,
 def _generalized_rates(y):
     """Inertial velocity R v and Euler-angle rates W^-1 omega of a plant
     state, as float tuples; raises SingularConfiguration at gimbal lock."""
-    _, _, _, phi, theta, psi, vx, vy, vz, wx, wy, wz = _floats(y)
+    _, _, _, phi, theta, psi, vx, vy, vz, wx, wy, wz = (
+        y.tolist() if isinstance(y, np.ndarray) else y)
     sf, cf = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
     _check_ct(ct, phi, theta, psi)

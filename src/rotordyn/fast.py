@@ -6,12 +6,12 @@ generic implementations stay the reference; the test suite pins these to
 them at machine tolerance.
 
 Float-body convention: every kernel unpacks its state (ndarray, list or
-tuple) once into Python floats, does straight-line float arithmetic and
-creates no ndarray.  The ``*_rates_321`` and ``*_derivative_321``
-functions return the derivative as a list of 12 floats, the state
-convention of ``integrators``; the helpers take and return floats or
-tuples of floats.  Python floats and numpy float64 round identically, so
-the result does not depend on the type of the state passed in.
+tuple) once into Python floats and is one straight-line body that makes no
+ndarray and calls no helper but ``_attitude_terms`` (shared with
+``control``).  The ``*_rates_321`` and ``*_derivative_321`` functions
+return the derivative as a list of 12 floats, as ``integrators`` expects.
+Python floats and numpy float64 round identically, so the result does not
+depend on the type of the state passed in.
 
 For 321 (eta = (phi, theta, psi), W independent of psi):
 
@@ -30,12 +30,7 @@ import math
 import numpy as np
 
 from .kinematics import SINGULARITY_TOL, SingularConfiguration
-from .models import QuadParams, mixer, relative_rotor_speed
-
-
-def _floats(v):
-    """``v`` as a list of Python floats if it is an ndarray, else as is."""
-    return v.tolist() if isinstance(v, np.ndarray) else v
+from .models import QuadParams, mixer
 
 
 def _check_ct(ct, phi, theta, psi):
@@ -72,21 +67,36 @@ def ne_rates_321(y, thrust, tau, params: QuadParams, u=None) -> list:
     """Newton-Euler derivative; tau is the body torque, three floats.  With
     rotor speeds ``u`` (a sequence of floats) the rotor gyroscopic torque
     at the state's body rates is added to tau first."""
-    _, _, _, phi, theta, psi, vx, vy, vz, wx, wy, wz = _floats(y)
+    _, _, _, phi, theta, psi, vx, vy, vz, wx, wy, wz = (
+        y.tolist() if isinstance(y, np.ndarray) else y)
     sf, cf = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
-    _check_ct(ct, phi, theta, psi)
+    if abs(ct) <= SINGULARITY_TOL:
+        _check_ct(ct, phi, theta, psi)
     tx, ty, tz = tau
     if u is not None:
-        gx, gy = _gyro_body(wx, wy, u, params)
+        # rotor gyroscopic torque s (omega x e3) = s (wy, -wx, 0)
+        gx = gy = 0.0
+        if params.gyro_enabled and params.rotor_inertia != 0.0:
+            s = params.rotor_inertia * (-u[0] + u[1] - u[2] + u[3])
+            gx, gy = s * wy, -s * wx
         tx, ty = tx + gx, ty + gy
     g = params.gravity
     jx, jy, jz = params.jx, params.jy, params.jz
+    sp, cp = math.sin(psi), math.cos(psi)
+    tt = st / ct
 
     return [
-        *_rotate(sf, cf, st, ct, math.sin(psi), math.cos(psi), vx, vy, vz),
+        # p_dot = R v
+        (cp * ct) * vx + (cp * st * sf - sp * cf) * vy
+        + (cp * st * cf + sp * sf) * vz,
+        (sp * ct) * vx + (sp * st * sf + cp * cf) * vy
+        + (sp * st * cf - cp * sf) * vz,
+        -st * vx + (ct * sf) * vy + (ct * cf) * vz,
         # eta_dot = W^-1 omega
-        *_w_inv(sf, cf, st, ct, wx, wy, wz),
+        wx + sf * tt * wy + cf * tt * wz,
+        cf * wy - sf * wz,
+        (sf * wy + cf * wz) / ct,
         # v_dot = T/m e3 - omega x v - g R^T e3, R^T e3 = (-st, ct sf, ct cf)
         -(wy * vz - wz * vy) + g * st,
         -(wz * vx - wx * vz) - g * (ct * sf),
@@ -140,11 +150,32 @@ def _attitude_terms(sf, cf, st, ct, etad, params: QuadParams):
     return (jx, 0.0, jr13, a, jr23, jr33), c_etad
 
 
-def _solve_sym(jr, rhs):
-    """Solve J_R x = rhs for a symmetric J_R given as its six
-    upper-triangle entries; floats in, a tuple of floats out."""
-    a11, a12, a13, a22, a23, a33 = jr
-    r0, r1, r2 = rhs
+def _gen_rates(y, thrust, tau, params: QuadParams, revised: bool, u=None):
+    """E-L derivative: generalized torque tau (literature) or W^T tau
+    (revised).  With rotor speeds ``u`` (a sequence of floats) the rotor
+    gyroscopic torque at omega = W eta_dot is added to tau first."""
+    _, _, _, phi, theta, psi, xd, yd, zd, fd, td, pd = (
+        y.tolist() if isinstance(y, np.ndarray) else y)
+    sf, cf = math.sin(phi), math.cos(phi)
+    st, ct = math.sin(theta), math.cos(theta)
+    sp, cp = math.sin(psi), math.cos(psi)
+    if abs(ct) <= SINGULARITY_TOL:
+        _check_ct(ct, phi, theta, psi)
+    tx, ty, tz = tau.tolist() if isinstance(tau, np.ndarray) else tau
+    if u is not None:
+        gx = gy = 0.0
+        if params.gyro_enabled and params.rotor_inertia != 0.0:
+            s = params.rotor_inertia * (-u[0] + u[1] - u[2] + u[3])
+            gx, gy = s * (cf * td + sf * ct * pd), -s * (fd - st * pd)
+        tx, ty = tx + gx, ty + gy
+    if revised:  # generalized torque W^T tau
+        tx, ty, tz = (tx, cf * ty - sf * tz,
+                      -st * tx + sf * ct * ty + cf * ct * tz)
+    (a11, a12, a13, a22, a23, a33), (c0, c1, c2) = _attitude_terms(
+        sf, cf, st, ct, (fd, td, pd), params)
+    tm = thrust / params.mass
+    # eta_dd = J_R^-1 (tau - C eta_dot), by the adjugate of the symmetric J_R
+    r0, r1, r2 = tx - c0, ty - c1, tz - c2
     i11 = a22 * a33 - a23 * a23
     i12 = a13 * a23 - a12 * a33
     i13 = a12 * a23 - a13 * a22
@@ -152,36 +183,15 @@ def _solve_sym(jr, rhs):
     i23 = a12 * a13 - a11 * a23
     i33 = a11 * a22 - a12 * a12
     det = a11 * i11 + a12 * i12 + a13 * i13
-    return ((i11 * r0 + i12 * r1 + i13 * r2) / det,
-            (i12 * r0 + i22 * r1 + i23 * r2) / det,
-            (i13 * r0 + i23 * r1 + i33 * r2) / det)
-
-
-def _gen_rates(y, thrust, tau, params: QuadParams, revised: bool, u=None):
-    """E-L derivative: generalized torque tau (literature) or W^T tau
-    (revised).  With rotor speeds ``u`` (a sequence of floats) the rotor
-    gyroscopic torque at omega = W eta_dot is added to tau first."""
-    _, _, _, phi, theta, psi, xd, yd, zd, fd, td, pd = _floats(y)
-    sf, cf = math.sin(phi), math.cos(phi)
-    st, ct = math.sin(theta), math.cos(theta)
-    sp, cp = math.sin(psi), math.cos(psi)
-    _check_ct(ct, phi, theta, psi)
-    tx, ty, tz = _floats(tau)
-    if u is not None:
-        gx, gy = _gyro_body(fd - st * pd, cf * td + sf * ct * pd, u, params)
-        tx, ty = tx + gx, ty + gy
-    if revised:  # generalized torque W^T tau
-        tx, ty, tz = (tx, cf * ty - sf * tz,
-                      -st * tx + sf * ct * ty + cf * ct * tz)
-    jr, (c0, c1, c2) = _attitude_terms(sf, cf, st, ct, (fd, td, pd), params)
-    tm = thrust / params.mass
     return [
         xd, yd, zd, fd, td, pd,
         # p_dd = T/m R e3 - g e3
         tm * (cp * st * cf + sp * sf),
         tm * (sp * st * cf - cp * sf),
         tm * (ct * cf) - params.gravity,
-        *_solve_sym(jr, (tx - c0, ty - c1, tz - c2)),
+        (i11 * r0 + i12 * r1 + i13 * r2) / det,
+        (i12 * r0 + i22 * r1 + i23 * r2) / det,
+        (i13 * r0 + i23 * r1 + i33 * r2) / det,
     ]
 
 
@@ -190,29 +200,19 @@ def rel_rates_321(y, thrust, tau, params: QuadParams) -> list:
     return _gen_rates(y, thrust, tau, params, revised=True)
 
 
-def _gyro_body(wx, wy, u, params: QuadParams):
-    """Rotor gyroscopic torque (x, y components; z is zero) at body rates
-    (wx, wy, .) and rotor speeds ``u`` (a sequence of floats), as floats."""
-    if not params.gyro_enabled or params.rotor_inertia == 0.0:
-        return 0.0, 0.0
-    s = params.rotor_inertia * relative_rotor_speed(u)
-    # omega x e3 = (wy, -wx, 0)
-    return s * wy, -s * wx
-
-
 def ne_derivative_321(y, u, params: QuadParams) -> list:
-    u = _floats(u)
+    u = u.tolist() if isinstance(u, np.ndarray) else u
     thrust, tau = mixer(u, params)
     return ne_rates_321(y, thrust, tau, params, u=u)
 
 
 def el_lit_derivative_321(y, u, params: QuadParams) -> list:
-    u = _floats(u)
+    u = u.tolist() if isinstance(u, np.ndarray) else u
     thrust, tau = mixer(u, params)
     return _gen_rates(y, thrust, tau, params, revised=False, u=u)
 
 
 def rel_derivative_321(y, u, params: QuadParams) -> list:
-    u = _floats(u)
+    u = u.tolist() if isinstance(u, np.ndarray) else u
     thrust, tau = mixer(u, params)
     return _gen_rates(y, thrust, tau, params, revised=True, u=u)

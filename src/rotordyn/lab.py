@@ -2,8 +2,8 @@
 equivalence proof chain, and the open-loop RMSE model comparisons.
 
 The multibody-simulator comparison is reproduced with a refined-step
-Newton-Euler reference (RK4 at dt/100) standing in for a third-party
-dynamics engine; outputs label it as such.
+Newton-Euler reference (RK4 at dt / oracle_refinement, 100 by default)
+standing in for a third-party dynamics engine; outputs label it as such.
 """
 
 from __future__ import annotations

@@ -194,15 +194,21 @@ class TestComparisons:
             ComparisonConfig(integrator=integrator)
 
 
-def test_diverging_model_is_reported(monkeypatch):
-    # a heavy off-axis input drives the literature model into gimbal lock
-    def wild_input(t):
-        return np.array([600.0, 300.0, 600.0, 300.0])
+def test_diverging_model_is_reported():
+    # one rotor well above the rest rolls and yaws the vehicle until both E-L
+    # models run away; the Newton-Euler reference stays finite
+    def spin_up_input(t):
+        return [476.0, 476.0, 476.0, 520.0]
 
     table = run_model_comparison(ComparisonConfig(dt=0.01, duration=20.0),
-                                 wild_input)
-    if "el" in table.notes:
-        assert math.isinf(table.value("p", "el"))
+                                 spin_up_input)
+    assert table.notes == {
+        "el": "diverged at step 305: non-finite or runaway state",
+        "rel": "diverged at step 357: non-finite or runaway state",
+    }
+    for group in lab.GROUPS:
+        assert math.isinf(table.value(group, "el"))
+        assert math.isinf(table.value(group, "rel"))
 
 
 class TestDivergedReference:
