@@ -46,22 +46,16 @@ class RunConfig:
     gains: control.Gains = field(default_factory=control.Gains)
     helix: control.HelixSpec = field(default_factory=control.HelixSpec)
     input_preset: str = "drifting"
-    input_base: tuple = (475.9, 476.2, 476.0, 476.1)
-    input_amp: tuple = (0.1, 0.1, 0.0, 0.0)
-    input_freq: float = 1.0
+    input_base: tuple = lab.DRIFTING_BASE
+    input_amp: tuple = lab.DRIFTING_AMP
+    input_freq: float = lab.DRIFTING_FREQ
     ki_grid: tuple = control.DEFAULT_KI_GRID
     compensators: tuple = ("el", "rel")
 
     def input_fn(self):
-        """u(t) = base + amp sin(freq t) as a list of floats; the defaults
-        are the drifting preset, ``lab.drifting_rotor_input``."""
-        pairs = tuple(zip(self.input_base, self.input_amp))
-        freq = self.input_freq
-
-        def rotor_input(t):
-            s = math.sin(freq * t)
-            return [b + a * s for b, a in pairs]
-        return rotor_input
+        """``lab.rotor_input`` of the [input] settings (default: drifting)."""
+        return lab.rotor_input(self.input_base, self.input_amp,
+                               self.input_freq)
 
     def comparison(self) -> ComparisonConfig:
         return ComparisonConfig(dt=self.dt, duration=self.duration,

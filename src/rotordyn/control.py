@@ -11,7 +11,7 @@ loop is identical for both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -164,10 +164,13 @@ class TrackingResult:
     """Closed-loop run record: attitude error series and divergence flag."""
 
     dt: float
-    times: np.ndarray
-    attitude_error: np.ndarray    # eta_ref - eta per sample
+    attitude_error: np.ndarray    # eta_ref - eta at times[i] = i * dt
     diverged: bool
     diverged_reason: str = ""
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.dt * np.arange(len(self.attitude_error))
 
     @property
     def max_error(self) -> float:
@@ -210,8 +213,8 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
         return ne_rates_321(yy, thrust, torque, params)
 
     def result(rows, reason=None):   # the first rows; diverged unless None
-        return TrackingResult(dt, dt * np.arange(rows), errors[:rows],
-                              reason is not None, reason or "")
+        return TrackingResult(dt, errors[:rows], reason is not None,
+                              reason or "")
 
     for i in range(n_steps + 1):
         t = i * dt
@@ -335,9 +338,8 @@ def gain_sweep(compensators, ki_grid, gains: Gains, spec: HelixSpec,
     rows = []
     for comp in compensators:
         for ki in ki_grid:
-            g = Gains(gains.pos_kp, gains.pos_ki, gains.pos_kd,
-                      gains.att_kp, ki, gains.att_kd)
-            result = run_tracking(comp, spec, g, params, dt)
+            result = run_tracking(comp, spec, replace(gains, att_ki=ki),
+                                  params, dt)
             rows.append(SweepRow(comp, ki, not result.diverged,
                                  result.max_error))
     return SweepReport(rows)

@@ -24,17 +24,20 @@ DIVERGENCE_LIMIT = 1e9
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled states: times[i] = i * dt, states[i] = y(times[i])."""
+    """Uniformly sampled states: states[i] = y(times[i]), times[i] = i * dt."""
 
     dt: float
-    times: np.ndarray
     states: np.ndarray
     diverged: bool = False
     diverged_step: int | None = None
     diverged_reason: str = ""
 
+    @property
+    def times(self) -> np.ndarray:
+        return self.dt * np.arange(len(self.states))
+
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.states)
 
 
 @functools.cache
@@ -108,12 +111,9 @@ def simulate(f, y0, t_final, dt, *, n_steps: int | None = None) -> Trajectory:
         try:
             y = step(f, y, t, dt)
         except SingularConfiguration as exc:
-            return Trajectory(dt, dt * np.arange(i + 1), states[:i + 1],
-                              diverged=True, diverged_step=i,
-                              diverged_reason=str(exc))
+            return Trajectory(dt, states[:i + 1], True, i, str(exc))
         if _bad(y):
-            return Trajectory(dt, dt * np.arange(i + 1), states[:i + 1],
-                              diverged=True, diverged_step=i,
-                              diverged_reason="non-finite or runaway state")
+            return Trajectory(dt, states[:i + 1], True, i,
+                              "non-finite or runaway state")
         states[i + 1] = y
-    return Trajectory(dt, dt * np.arange(n_steps + 1), states)
+    return Trajectory(dt, states)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import fast
+from . import fast, models
 from .integrators import Trajectory, simulate, step_count
 from .kinematics import (
     matvec,
@@ -29,15 +29,14 @@ from .kinematics import (
     sigma_w_inv,
 )
 from .models import (
-    ETADOT,
     QuadParams,
     body_to_gen,
     el_lit_rates,
     rel_rates,
 )
 
-GROUPS = {"p": slice(0, 3), "eta": slice(3, 6),
-          "pdot": slice(6, 9), "etadot": slice(9, 12)}
+GROUPS = {"p": models.P, "eta": models.ETA, "pdot": models.PDOT,
+          "etadot": models.ETADOT}
 
 RELATION_NAMES = ("R1", "R2", "R3", "R4", "R5", "R6", "R7")
 
@@ -50,10 +49,21 @@ FD_STEP = 1e-6
 RATE_FD_STEP = 3e-6
 
 
-def drifting_rotor_input(t: float) -> np.ndarray:
-    """The slowly drifting four-rotor input used by the open-loop study."""
-    s = 0.1 * math.sin(t)
-    return np.array([475.9 + s, 476.2 + s, 476.0, 476.1])
+def rotor_input(base, amp, freq: float):
+    """u(t) = base + amp sin(freq t), as a list of floats, one per rotor."""
+    pairs = tuple(zip(base, amp))
+
+    def u(t):
+        s = math.sin(freq * t)
+        return [b + a * s for b, a in pairs]
+    return u
+
+
+# The slowly drifting four-rotor input of the open-loop study
+DRIFTING_BASE = (475.9, 476.2, 476.0, 476.1)
+DRIFTING_AMP = (0.1, 0.1, 0.0, 0.0)
+DRIFTING_FREQ = 1.0
+drifting_rotor_input = rotor_input(DRIFTING_BASE, DRIFTING_AMP, DRIFTING_FREQ)
 
 
 def sample_states(n: int, seed: int):
@@ -190,8 +200,8 @@ def check_proof_chain(eta, eta_dot, torque, params: QuadParams) -> ProofChainRep
         omega_dot = wd @ eta_dot + w @ eta_dd
         return j @ omega_dot + np.cross(omega, j @ omega) - torque
 
-    rel_dd = rel_rates(state, 0.0, torque, zero, params)[ETADOT]
-    lit_dd = el_lit_rates(state, 0.0, torque, zero, params)[ETADOT]
+    rel_dd = rel_rates(state, 0.0, torque, zero, params)[models.ETADOT]
+    lit_dd = el_lit_rates(state, 0.0, torque, zero, params)[models.ETADOT]
 
     res_ne = ne_residual(rel_dd)
     gen_res = w.T @ ne_residual(rel_dd)  # W^T(Jw_dot + S(w)Jw - M)
@@ -327,14 +337,6 @@ def run_model_comparison(cfg: ComparisonConfig,
     return table
 
 
-def _subsample(traj: Trajectory, every: int, dt: float) -> Trajectory:
-    """Every ``every``-th sample; a divergence keeps its step on the fine
-    grid."""
-    return Trajectory(dt, dt * np.arange(len(traj.states[::every])),
-                      traj.states[::every], traj.diverged,
-                      traj.diverged_step, traj.diverged_reason)
-
-
 def run_oracle_comparison(cfg: ComparisonConfig,
                           input_fn=drifting_rotor_input) -> RmseTable:
     """RMSE of all three models against a refined-step reference.
@@ -347,7 +349,8 @@ def run_oracle_comparison(cfg: ComparisonConfig,
     ref_cfg = replace(cfg, dt=cfg.dt / refine)
     ref = simulate_model("ne", input_fn, ref_cfg,
                          refine * step_count(cfg.duration, cfg.dt))
-    oracle = _as_gen(_subsample(ref, refine, cfg.dt))
+    # every refine-th sample; a divergence keeps its step on the fine grid
+    oracle = _as_gen(replace(ref, dt=cfg.dt, states=ref.states[::refine]))
     ne = _as_gen(simulate_model("ne", input_fn, cfg))
     el = simulate_model("el", input_fn, cfg)
     rel = simulate_model("rel", input_fn, cfg)

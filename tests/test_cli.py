@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import pathlib
 
 import numpy as np
 import pytest
 
-from rotordyn import cli, lab
+from rotordyn import cli, control, lab
 from rotordyn.cli import ConfigError, RunConfig, main, parse_config
 
 
@@ -108,6 +109,7 @@ class TestParseConfig:
     def test_default_input_is_the_drifting_input_bit_for_bit(self):
         u = parse_config("[input]\npreset = drifting\n").input_fn()
         ts = np.linspace(-50.0, 50.0, 2001).tolist() + [0.0, -0.0, 1e-300]
+        assert all(type(lab.drifting_rotor_input(t)) is list for t in ts)
         got = np.array([u(t) for t in ts])
         want = np.array([lab.drifting_rotor_input(t) for t in ts])
         assert np.array_equal(got, want)
@@ -359,3 +361,23 @@ def test_series_csv_bytes_are_repr_of_each_float(tmp_path):
         for t, v in zip(times, values))
     assert path.read_bytes() == want.encode()
     assert "-0.0,5e-324,-5e-324" in want
+
+
+@pytest.mark.parametrize("rate", [1.4, -1.4])
+def test_fig4_only_the_revised_compensator_tracks(tmp_path, rate):
+    # default gains, heading tangent to the helix: el reaches the error
+    # limit at t = 6.108 s, rel stays near 2.3e-5 rad after the transient
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs/fig4.cfg"
+    cfg = parse_config(path.read_text())
+    assert cfg.helix.rate == 1.4
+    if rate == 1.4:
+        out = tmp_path / "fig4.csv"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert [(r[0], r[2]) for r in rows[1:]] == [("el", "False"),
+                                                   ("rel", "True")]
+    spec = dataclasses.replace(cfg.helix, rate=rate, duration=cfg.duration)
+    result = control.run_tracking("rel", spec, cfg.gains,
+                                  cfg.params.with_gyro(False), cfg.dt)
+    assert not result.diverged
+    assert result.max_error_after(2.0) < 1e-4

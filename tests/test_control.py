@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -394,6 +395,8 @@ class TestTrackingExits:
         assert len(result.times) == len(result.attitude_error)
         assert np.array_equal(result.times,
                               2e-3 * np.arange(len(result.times)))
+        assert "times" not in {f.name for f in
+                               dataclasses.fields(control.TrackingResult)}
         last = np.abs(result.attitude_error[-1]).max()
         assert last > control.ERROR_LIMIT
         assert np.abs(result.attitude_error[:-1]).max() <= control.ERROR_LIMIT

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -240,8 +241,20 @@ class TestSimulate:
         assert "gimbal lock" in traj.diverged_reason
 
     def test_trajectory_len(self):
-        traj = Trajectory(0.1, np.arange(3) * 0.1, np.zeros((3, 2)))
+        traj = Trajectory(0.1, np.zeros((3, 2)))
         assert len(traj) == 3
+        assert np.array_equal(traj.times, 0.1 * np.arange(3))
+
+    def test_times_are_derived_from_dt_and_the_rows(self):
+        assert "times" not in {f.name for f in dataclasses.fields(Trajectory)}
+        full = simulate(exponential, [1.0], 1.0, 0.1)
+        cut = simulate(lambda t, y: [100.0 * v for v in y], [1.0], 10.0, 0.5)
+        assert cut.diverged and 1 < len(cut) < 21
+        for traj in (full, cut):
+            assert np.array_equal(traj.times,
+                                  traj.dt * np.arange(len(traj.states)))
+        with pytest.raises(AttributeError):
+            full.times = np.zeros(11)
 
 
 class TestStepCount:

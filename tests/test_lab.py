@@ -106,7 +106,7 @@ class TestProofChain:
 class TestRmse:
     def _traj(self, states):
         states = np.asarray(states, float)
-        return Trajectory(0.1, 0.1 * np.arange(len(states)), states)
+        return Trajectory(0.1, states)
 
     def test_known_value(self):
         a = self._traj(np.zeros((4, 12)))
@@ -131,7 +131,21 @@ class TestComparisons:
     def test_drifting_input_is_slowly_varying(self):
         u0 = drifting_rotor_input(0.0)
         assert np.allclose(u0, [475.9, 476.2, 476.0, 476.1])
-        assert np.abs(drifting_rotor_input(2.0) - u0).max() <= 0.2
+        assert np.abs(np.subtract(drifting_rotor_input(2.0), u0)).max() <= 0.2
+
+    def test_drifting_input_is_the_paper_formula_bit_for_bit(self):
+        for t in np.linspace(-50.0, 50.0, 401).tolist() + [0.0, -0.0]:
+            u = drifting_rotor_input(t)
+            s = 0.1 * math.sin(t)
+            want = [475.9 + s, 476.2 + s, 476.0, 476.1]
+            assert type(u) is list and all(type(x) is float for x in u)
+            assert u == want
+            assert np.array_equal(np.signbit(u), np.signbit(want))
+
+    def test_rotor_input(self):
+        u = lab.rotor_input((1.0, 2.0), (0.5, -0.5), 2.0)
+        assert u(0.0) == [1.0, 2.0]
+        assert u(math.pi / 4) == [1.5, 1.5]
 
     def test_simulate_model_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -233,3 +247,33 @@ class TestDivergedReference:
         assert table.notes["ne"].startswith("diverged at step 0:")
         assert "oracle" in table.notes
         assert self._all_inf(table)
+
+    def test_subsampled_reference_keeps_its_fine_grid_step(
+            self, ne_diverges, monkeypatch):
+        ref = _oracle_reference(self.CFG, monkeypatch)
+        assert ref.diverged and ref.diverged_step == 50    # of dt / 10
+        assert ref.dt == self.CFG.dt and len(ref) == 6     # fine rows 0..50
+        assert np.array_equal(ref.times, 0.01 * np.arange(6))
+
+
+def _oracle_reference(cfg, monkeypatch):
+    """The subsampled reference ``run_oracle_comparison`` scores against:
+    the first trajectory it converts."""
+    seen = []
+
+    def as_gen(traj, original=lab._as_gen):
+        seen.append(traj)
+        return original(traj)
+    monkeypatch.setattr(lab, "_as_gen", as_gen)
+    run_oracle_comparison(cfg)
+    return seen[0]
+
+
+def test_subsampled_reference_is_on_the_run_grid(monkeypatch):
+    cfg = ComparisonConfig(dt=0.01, duration=0.5, oracle_refinement=10)
+    ref = _oracle_reference(cfg, monkeypatch)
+    fine = simulate_model("ne", drifting_rotor_input,
+                          ComparisonConfig(dt=0.001, duration=0.5))
+    assert not ref.diverged and ref.dt == 0.01 and len(ref) == 51
+    assert np.array_equal(ref.times, 0.01 * np.arange(51))
+    assert np.array_equal(ref.states, fine.states[::10])
