@@ -51,6 +51,7 @@ class RunConfig:
     input_freq: float = lab.DRIFTING_FREQ
     ki_grid: tuple = control.DEFAULT_KI_GRID
     compensators: tuple = ("el", "rel")
+    config_keys: tuple = ()   # the (section, key) pairs the file set
 
     def input_fn(self):
         """``lab.rotor_input`` of the [input] settings (default: drifting)."""
@@ -62,11 +63,24 @@ class RunConfig:
                                 integrator=self.integrator, params=self.params)
 
     def echo(self) -> str:
-        """The command and the fields it reads, with their values."""
+        """The command and the fields it reads, with their values, then the
+        config keys it does not read, if any."""
         used = ("command",) + READS[self.command]
-        return "\n".join(["effective config:"] + [
+        lines = ["effective config:"] + [
             f"  {f.name} = {getattr(self, f.name)}" for f in fields(self)
-            if f.name in used])
+            if f.name in used]
+        ignored = [f"[{s}] {k}" for s, k in self.config_keys
+                   if _field(s, k) not in used]
+        if ignored:
+            lines.append(f"  ignored: {', '.join(ignored)}")
+        return "\n".join(lines)
+
+
+def _field(section: str, key: str) -> str:
+    """The RunConfig field a config key sets."""
+    if section in ("params", "gains", "helix"):
+        return section
+    return f"input_{key}" if section == "input" else key
 
 
 # The RunConfig fields each command reads
@@ -218,7 +232,9 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("[input]: preset = drifting takes no base, amp "
                               "or freq; use preset = custom")
     cfg = RunConfig(**got["run"], **got["sweep"],
-                    **{f"input_{k}": v for k, v in got["input"].items()})
+                    **{f"input_{k}": v for k, v in got["input"].items()},
+                    config_keys=tuple((name, key) for name, keys
+                                      in sections.items() for key in keys))
     if "gyro" in got["params"]:
         got["params"]["gyro_enabled"] = got["params"].pop("gyro")
     for name, cls in (("params", QuadParams), ("gains", control.Gains),

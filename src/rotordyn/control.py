@@ -15,17 +15,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fast import (
-    _attitude_terms,
-    _check_ct,
-    _rotate,
-    _w_inv,
-    _w_inv_t,
-    ne_rates_321,
+from .fast import _attitude_terms, _check_ct, ne_rates_321
+from .integrators import _bad, _rk4_step, step_count
+from .kinematics import (
+    SINGULARITY_TOL,
+    SingularConfiguration,
+    rotation,
+    w_matrix,
 )
-from .integrators import _bad, step_count, step_rk4
-from .kinematics import SingularConfiguration, rotation, w_matrix
 from .models import QuadParams
+
+step_rk4 = _rk4_step(12)   # one RK4 step of the 12-float plant state
 
 MAX_TILT = math.radians(60.0)
 ERROR_LIMIT = math.pi / 2  # attitude error beyond this counts as diverged
@@ -148,15 +148,18 @@ def attitude_fl_pid(compensator: str, eta, eta_dot, eta_ref, etad_ref,
     n2 = a2 + kd * (s2 - v2) + kp * (r2 - x2) + ki * e2
     sf, cf = math.sin(x0), math.cos(x0)
     st, ct = math.sin(x1), math.cos(x1)
-    _check_ct(ct, x0, x1, x2)
+    if abs(ct) <= SINGULARITY_TOL:
+        _check_ct(ct, x0, x1, x2)
     (j11, j12, j13, j22, j23, j33), (c0, c1, c2) = _attitude_terms(
         sf, cf, st, ct, eta_dot, params)
-    tau = (j11 * n0 + j12 * n1 + j13 * n2 + c0,
-           j12 * n0 + j22 * n1 + j23 * n2 + c1,
-           j13 * n0 + j23 * n1 + j33 * n2 + c2)
-    if compensator == "rel":
-        tau = _w_inv_t(sf, cf, st, ct, *tau)
-    return tau
+    t0 = j11 * n0 + j12 * n1 + j13 * n2 + c0
+    t1 = j12 * n0 + j22 * n1 + j23 * n2 + c1
+    t2 = j13 * n0 + j23 * n1 + j33 * n2 + c2
+    if compensator == "el":
+        return t0, t1, t2
+    tt = st / ct   # W^-T (t0, t1, t2)
+    return (t0, sf * tt * t0 + cf * t1 + (sf / ct) * t2,
+            cf * tt * t0 - sf * t1 + (cf / ct) * t2)
 
 
 @dataclass
@@ -189,12 +192,14 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
                  params: QuadParams, dt: float = 1e-3) -> TrackingResult:
     """Simulate the closed loop on the Newton-Euler plant.
 
-    The wrench is recomputed once per control step and held over the RK4
-    substages.  The plant sees no rotor-level gyroscopic torque (wrench
-    commands are applied directly).  Raises InfeasibleAttitude for a
-    reference that is infeasible at t = 0; later infeasibility ends the
-    run as diverged.  Raises ValueError for a step that is not finite and
-    positive, or a run shorter than one step.
+    Each control step unpacks the plant state once and writes its
+    generalized rates R v and W^-1 omega in place, with the expressions of
+    ``fast.ne_rates_321``.  The wrench is recomputed once per control step
+    and held over the RK4 substages.  The plant sees no rotor-level
+    gyroscopic torque (wrench commands are applied directly).  Raises
+    InfeasibleAttitude for a reference that is infeasible at t = 0; later
+    infeasibility ends the run as diverged.  Raises ValueError for a step
+    that is not finite and positive, or a run shorter than one step.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt = {dt:g}: need finite dt > 0")
@@ -219,27 +224,41 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
     for i in range(n_steps + 1):
         t = i * dt
         p_ref, pd_ref, pdd_ref, psi_ref = helix_reference(t, spec)
-        eta = y[3:6]
+        x0, x1, x2, phi, theta, psi, vx, vy, vz, wx, wy, wz = y
         try:
-            p_dot, eta_dot = _generalized_rates(y)
+            sf, cf = math.sin(phi), math.cos(phi)
+            st, ct = math.sin(theta), math.cos(theta)
+            if abs(ct) <= SINGULARITY_TOL:
+                _check_ct(ct, phi, theta, psi)
+            sp, cp = math.sin(psi), math.cos(psi)
+            tt = st / ct
+            p_dot = (   # R v
+                (cp * ct) * vx + (cp * st * sf - sp * cf) * vy
+                + (cp * st * cf + sp * sf) * vz,
+                (sp * ct) * vx + (sp * st * sf + cp * cf) * vy
+                + (sp * st * cf - cp * sf) * vz,
+                -st * vx + (ct * sf) * vy + (ct * cf) * vz)
+            eta_dot = (wx + sf * tt * wy + cf * tt * wz,   # W^-1 omega
+                       cf * wy - sf * wz, (sf * wy + cf * wz) / ct)
             thrust, eta_ref = position_outer_loop(
-                y[0:3], p_dot, p_ref, pd_ref, pdd_ref, psi_ref,
+                (x0, x1, x2), p_dot, p_ref, pd_ref, pdd_ref, psi_ref,
                 (q0, q1, q2), gains, params)
-            torque = attitude_fl_pid(compensator, eta, eta_dot, eta_ref,
-                                     zero3, zero3, (a0, a1, a2), gains, params)
+            torque = attitude_fl_pid(compensator, (phi, theta, psi), eta_dot,
+                                     eta_ref, zero3, zero3, (a0, a1, a2),
+                                     gains, params)
         except (InfeasibleAttitude, SingularConfiguration) as exc:
             return result(i, str(exc))
 
-        e0, e1, e2 = eta_ref[0] - y[3], eta_ref[1] - y[4], eta_ref[2] - y[5]
+        e0, e1, e2 = eta_ref[0] - phi, eta_ref[1] - theta, eta_ref[2] - psi
         error_row[i, 0], error_row[i, 1], error_row[i, 2] = e0, e1, e2
         if max(abs(e0), abs(e1), abs(e2)) > ERROR_LIMIT:
             return result(i + 1, "attitude error limit exceeded")
         if i == n_steps:
             break
 
-        q0 += (p_ref[0] - y[0]) * dt
-        q1 += (p_ref[1] - y[1]) * dt
-        q2 += (p_ref[2] - y[2]) * dt
+        q0 += (p_ref[0] - x0) * dt
+        q1 += (p_ref[1] - x1) * dt
+        q2 += (p_ref[2] - x2) * dt
         a0 += e0 * dt
         a1 += e1 * dt
         a2 += e2 * dt
@@ -276,18 +295,6 @@ def _reference_start(spec: HelixSpec, gains: Gains,
     y[6:9] = rotation(eta0).T @ pd_ref
     y[9:12] = w_matrix(eta0) @ etad0
     return y
-
-
-def _generalized_rates(y):
-    """Inertial velocity R v and Euler-angle rates W^-1 omega of a plant
-    state, as float tuples; raises SingularConfiguration at gimbal lock."""
-    _, _, _, phi, theta, psi, vx, vy, vz, wx, wy, wz = (
-        y.tolist() if isinstance(y, np.ndarray) else y)
-    sf, cf = math.sin(phi), math.cos(phi)
-    st, ct = math.sin(theta), math.cos(theta)
-    _check_ct(ct, phi, theta, psi)
-    return (_rotate(sf, cf, st, ct, math.sin(psi), math.cos(psi), vx, vy, vz),
-            _w_inv(sf, cf, st, ct, wx, wy, wz))
 
 
 @dataclass

@@ -40,29 +40,6 @@ def _check_ct(ct, phi, theta, psi):
             f"at eta = ({phi}, {theta}, {psi})")
 
 
-def _w_inv(sf, cf, st, ct, a, b, c):
-    """W^-1 (a, b, c): Euler-angle rates from body angular velocity."""
-    tt = st / ct
-    return (a + sf * tt * b + cf * tt * c, cf * b - sf * c,
-            (sf * b + cf * c) / ct)
-
-
-def _w_inv_t(sf, cf, st, ct, a, b, c):
-    """W^-T (a, b, c): body torque from a generalized torque."""
-    tt = st / ct
-    return (a, sf * tt * a + cf * b + (sf / ct) * c,
-            cf * tt * a - sf * b + (cf / ct) * c)
-
-
-def _rotate(sf, cf, st, ct, sp, cp, x, y, z):
-    """R (x, y, z): body->inertial rotation of a body-frame vector."""
-    return ((cp * ct) * x + (cp * st * sf - sp * cf) * y
-            + (cp * st * cf + sp * sf) * z,
-            (sp * ct) * x + (sp * st * sf + cp * cf) * y
-            + (sp * st * cf - cp * sf) * z,
-            -st * x + (ct * sf) * y + (ct * cf) * z)
-
-
 def ne_rates_321(y, thrust, tau, params: QuadParams, u=None) -> list:
     """Newton-Euler derivative; tau is the body torque, three floats.  With
     rotor speeds ``u`` (a sequence of floats) the rotor gyroscopic torque

@@ -2,22 +2,39 @@
 
 ``rotordyn.fast`` writes each kernel out as one straight-line body.  These
 are the same kernels built from the helpers those bodies replaced: the
-package's own ``_check_ct``, ``_rotate``, ``_w_inv``, ``_attitude_terms``
-and ``models.relative_rotor_speed``, plus local copies of the gyroscopic
-term and the symmetric solve, which the package no longer has.  The
-tests pin the fused kernels to these bit for bit.
+package's own ``_check_ct``, ``_attitude_terms`` and
+``models.relative_rotor_speed``, plus local copies of the rotation R v,
+the Euler-angle rates W^-1 omega, the gyroscopic term and the symmetric
+solve, which the package no longer has.  The tests pin the fused kernels
+to these bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from rotordyn.fast import _attitude_terms, _check_ct, _rotate, _w_inv
+from rotordyn.fast import _attitude_terms, _check_ct
 from rotordyn.models import mixer, relative_rotor_speed
 
 
 def _floats(v):
     return v.tolist() if isinstance(v, np.ndarray) else v
+
+
+def rotate(sf, cf, st, ct, sp, cp, x, y, z):
+    """R (x, y, z): body->inertial rotation of a body-frame vector."""
+    return ((cp * ct) * x + (cp * st * sf - sp * cf) * y
+            + (cp * st * cf + sp * sf) * z,
+            (sp * ct) * x + (sp * st * sf + cp * cf) * y
+            + (sp * st * cf - cp * sf) * z,
+            -st * x + (ct * sf) * y + (ct * cf) * z)
+
+
+def w_inv(sf, cf, st, ct, a, b, c):
+    """W^-1 (a, b, c): Euler-angle rates from body angular velocity."""
+    tt = st / ct
+    return (a + sf * tt * b + cf * tt * c, cf * b - sf * c,
+            (sf * b + cf * c) / ct)
 
 
 def gyro_body(wx, wy, u, params):
@@ -56,8 +73,8 @@ def ne_rates_321(y, thrust, tau, params, u=None):
     g = params.gravity
     jx, jy, jz = params.jx, params.jy, params.jz
     return [
-        *_rotate(sf, cf, st, ct, math.sin(psi), math.cos(psi), vx, vy, vz),
-        *_w_inv(sf, cf, st, ct, wx, wy, wz),
+        *rotate(sf, cf, st, ct, math.sin(psi), math.cos(psi), vx, vy, vz),
+        *w_inv(sf, cf, st, ct, wx, wy, wz),
         -(wy * vz - wz * vy) + g * st,
         -(wz * vx - wx * vz) - g * (ct * sf),
         thrust / params.mass - (wx * vy - wy * vx) - g * (ct * cf),

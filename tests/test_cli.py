@@ -191,6 +191,31 @@ class TestMain:
         p.write_text("[run]\ncommand = simulate\nduration = 0.05\n")
         assert main(["verify", "--config", str(p)]) == 0
 
+    def test_echo_lists_the_config_keys_the_command_does_not_read(
+            self, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text("[run]\ncommand = simulate\nduration = 0.05\n"
+                     "seed = 3\n[sweep]\nki_grid = 8000, 9000\n"
+                     "[gains]\natt_kp = 800\n[helix]\nradius = 3\n"
+                     "[input]\nfreq = 2\n")
+        assert main(["run", "--config", str(p)]) == 0
+        echo = capsys.readouterr().out.splitlines()
+        assert ("  ignored: [run] seed, [sweep] ki_grid, [gains] att_kp, "
+                "[helix] radius") in echo
+        assert main(["verify", "--config", str(p), "--seed", "1"]) == 0
+        echo = capsys.readouterr().out.splitlines()
+        assert ("  ignored: [run] duration, [sweep] ki_grid, "
+                "[gains] att_kp, [helix] radius, [input] freq") in echo
+
+    def test_echo_lists_nothing_when_every_key_is_read(self, tmp_path,
+                                                       capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text("[run]\ncommand = sweep\nduration = 0.02\n"
+                     "[sweep]\nki_grid = 8000\n[gains]\natt_kp = 800\n"
+                     "[helix]\nradius = 3\n[params]\nmass = 0.5\n")
+        assert main(["run", "--config", str(p)]) == 0
+        assert "ignored" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", [
         c for c in cli.COMMANDS if "duration" in cli.READS[c]])
     def test_duration_shorter_than_one_step_exits_2(self, capsys, command):

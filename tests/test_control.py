@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from rotordyn import control
 from rotordyn.control import (
@@ -21,8 +22,20 @@ from rotordyn.control import (
 )
 from rotordyn.fast import ne_rates_321
 from rotordyn.integrators import step_rk4
-from rotordyn.kinematics import SingularConfiguration, rotation, w_matrix
-from rotordyn.models import coriolis_matrix, rotated_inertia
+from rotordyn.kinematics import (
+    SingularConfiguration,
+    rotation,
+    w_inverse,
+    w_matrix,
+)
+from rotordyn.models import QuadParams, coriolis_matrix, rotated_inertia
+
+
+def _rates(y, params):
+    """R v and W^-1 omega of a plant state, as float tuples: rows 0-5 of
+    the Newton-Euler derivative, whose expressions the closed loop uses."""
+    d = ne_rates_321(y, 0.0, (0.0, 0.0, 0.0), params)
+    return tuple(d[0:3]), tuple(d[3:6])
 
 
 class TestGainsAndSpec:
@@ -115,7 +128,7 @@ class TestFloatControlStep:
     def test_step_functions_return_python_floats(self, params):
         spec, y = self._step_inputs(params)
         ref = helix_reference(0.7, spec)
-        rates = control._generalized_rates(y)
+        rates = _rates(y, params)
         out = position_outer_loop(y[0:3], rates[0], *ref, [0.1, 0.0, -0.1],
                                   Gains(), params)
         assert self._all_floats(ref) and self._all_floats(rates)
@@ -130,14 +143,13 @@ class TestFloatControlStep:
     def test_argument_type_gives_the_same_bits(self, params, kind):
         spec, y = self._step_inputs(params)
         p_ref, pd_ref, pdd_ref, psi = helix_reference(0.7, spec)
-        p_dot, eta_dot = control._generalized_rates(y)
+        p_dot, eta_dot = _rates(y, params)
         pos = (y[0:3], p_dot, p_ref, pd_ref, pdd_ref)
         ie = [0.1, 0.0, -0.1]
         want_pos = position_outer_loop(*pos, psi, ie, Gains(), params)
         got_pos = position_outer_loop(*map(kind, pos), psi, kind(ie),
                                       Gains(), params)
         assert got_pos == want_pos
-        assert control._generalized_rates(kind(y)) == (p_dot, eta_dot)
         att = (y[3:6], eta_dot, want_pos[1], [0.2, 0.0, -0.1],
                [1.0, -2.0, 0.5], [0.01, -0.02, 0.0])
         for comp in ("el", "rel"):
@@ -170,6 +182,97 @@ class TestFloatControlStep:
                               params)
         assert np.allclose(w_matrix(eta).T @ got, want, rtol=1e-12,
                            atol=1e-12)
+
+
+def _finite(bound):
+    return st.floats(-bound, bound, allow_nan=False, allow_infinity=False)
+
+
+VEC3 = st.lists(_finite(20.0), min_size=3, max_size=3)
+ETA = st.tuples(_finite(math.pi), st.floats(-1.3, 1.3, exclude_min=True,
+                                            exclude_max=True),
+                _finite(math.pi)).map(list)
+
+
+def assert_matches_spec(got, want, scale):
+    """|got - want| <= 1e-12 * scale entrywise, where ``scale`` is the
+    entrywise size of the terms summed into ``want``."""
+    assert all(type(v) is float for v in got)
+    assert np.all(np.abs(np.subtract(got, want)) <= 1e-12 * scale), \
+        (got, want)
+
+
+def fl_pid_spec(compensator, eta, eta_dot, eta_ref, etad_ref, etadd_ref,
+                int_err, gains, params):
+    """The FL-PID torque from the generic matrices, and the size of its
+    terms: J_R nu + C eta_dot, mapped through W^-T for 'rel'."""
+    eta, eta_dot = np.asarray(eta), np.asarray(eta_dot)
+    nu = (np.asarray(etadd_ref)
+          + gains.att_kd * (np.asarray(etad_ref) - eta_dot)
+          + gains.att_kp * (np.asarray(eta_ref) - eta)
+          + gains.att_ki * np.asarray(int_err))
+    jr = rotated_inertia(eta, params)
+    c = coriolis_matrix(eta, eta_dot, params)
+    want = jr @ nu + c @ eta_dot
+    scale = np.abs(jr) @ np.abs(nu) + np.abs(c) @ np.abs(eta_dot)
+    if compensator == "rel":
+        w_inv_t = w_inverse(eta).T
+        want, scale = w_inv_t @ want, np.abs(w_inv_t) @ scale
+    return want, scale
+
+
+class TestControlStepMatchesTheMatrixSpec:
+    """The closed loop's generalized rates and the FL-PID torque equal the
+    generic matrix forms, ``kinematics.rotation(eta) @ v``,
+    ``w_inverse(eta) @ omega`` and W^-T (J_R nu + C eta_dot) from
+    ``models``, to 1e-12 of the size of their terms, away from the
+    gimbal lock (|theta| < 1.3)."""
+
+    PARAMS = QuadParams().with_gyro(False)
+    # no position feedback: the outer loop is feasible from any state
+    GAINS = Gains(pos_kp=0.0, pos_kd=0.0)
+
+    @pytest.mark.parametrize("compensator", ["el", "rel"])
+    @settings(max_examples=150, deadline=None)
+    @given(pos=VEC3, eta=ETA, v=VEC3, omega=VEC3)
+    def test_first_control_step(self, compensator, pos, eta, v, omega):
+        y = pos + eta + v + omega
+        seen = {}
+
+        def spy(name):
+            fn = getattr(control, name)
+
+            def call(*args):
+                out = fn(*args)
+                seen.setdefault(name, (args, out))
+                return out
+            return call
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(control, "_reference_start",
+                       lambda *a: np.array(y))
+            for name in ("position_outer_loop", "attitude_fl_pid"):
+                mp.setattr(control, name, spy(name))
+            run_tracking(compensator, HelixSpec(duration=0.01), self.GAINS,
+                         self.PARAMS, dt=0.01)
+
+        (p, p_dot, *_), _ = seen["position_outer_loop"]
+        assert list(p) == pos
+        r = rotation(eta)
+        assert_matches_spec(p_dot, r @ v, np.abs(r) @ np.abs(v))
+        args, torque = seen["attitude_fl_pid"]
+        assert args[0] == compensator and list(args[1]) == eta
+        w_inv = w_inverse(eta)
+        assert_matches_spec(args[2], w_inv @ omega,
+                            np.abs(w_inv) @ np.abs(omega))
+        assert_matches_spec(torque, *fl_pid_spec(*args))
+
+    @pytest.mark.parametrize("compensator", ["el", "rel"])
+    @settings(max_examples=200, deadline=None)
+    @given(eta=ETA, eta_dot=VEC3, ref=st.tuples(VEC3, VEC3, VEC3, VEC3))
+    def test_fl_pid_torque(self, compensator, eta, eta_dot, ref):
+        args = (compensator, eta, eta_dot, *ref, Gains(), self.PARAMS)
+        assert_matches_spec(attitude_fl_pid(*args), *fl_pid_spec(*args))
 
 
 class TestOuterLoop:
@@ -226,7 +329,7 @@ class TestAttitudeLinearization:
 
         def rhs(t, z):
             y, ie = z[:12], z[12:]
-            _, eta_dot = control._generalized_rates(y)
+            _, eta_dot = _rates(y, p)
             torque = attitude_fl_pid(compensator, y[3:6], eta_dot,
                                      self.ETA_REF, zero, zero, ie,
                                      self.GAINS, p)

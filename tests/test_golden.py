@@ -4,8 +4,11 @@ A change that is meant to leave the numbers alone (a faster kernel, a
 leaner loop) must keep every value here.  The values were recorded with
 the helper-composed derivative kernels, before they were written out as
 straight-line bodies, on x86_64 Linux with Python 3.11.7 and numpy 2.4.6.
-They depend on the platform's libm (sin, cos): on another box, a failure
-here first says that the platform differs, not that the code does.
+The ``track_rel_tangent`` value was recorded later, the same way, with the
+closed-loop control step as it was before it computed its attitude
+kinematics in one pass.  They depend on the platform's libm (sin, cos):
+on another box, a failure here first says that the platform differs, not
+that the code does.
 
 Each run goes through ``cli.main`` and is pinned by the sha256 of the CSV
 it writes, whose floats are ``repr`` strings; the oracle run (refinement
@@ -41,12 +44,24 @@ dt = 0.002
 att_ki = 40000
 """
 
+# fig4's shape: the revised compensator on the tangent-yaw helix
+TRACK_REL_TANGENT = """
+[run]
+command = track
+compensator = rel
+dt = 0.002
+[helix]
+yaw_mode = tangent
+rate = 1.4
+"""
+
 CLI_RUNS = {
     "compare": (None, ["run", "--config", str(ROOT / "configs/table1.cfg"),
                        "--duration", "2"]),
     "simulate_el": (SIMULATE.format(model="el"), ["run", "--duration", "2"]),
     "simulate_rel": (SIMULATE.format(model="rel"), ["run", "--duration", "2"]),
     "track_el": (TRACK, ["run", "--duration", "1"]),
+    "track_rel_tangent": (TRACK_REL_TANGENT, ["run", "--duration", "1"]),
     "sweep": (None, ["run", "--config", str(ROOT / "configs/fig3.cfg"),
                      "--duration", "0.3"]),
 }
@@ -60,6 +75,8 @@ CSV_SHA256 = {
         "af5403e24eff52d040b7ffc1bb6e06bf71c693a8f2af5c3f73195edcce0df59d",
     "track_el":
         "50689b23996232918ff71fa75e6eb9dba4632644ba788bf2cb7475fba066f1b5",
+    "track_rel_tangent":
+        "f3ab09985f13cc9afa6564bbcbc84003f17b3af1d666ffdf5b2836a5b9cb3bea",
     "sweep":
         "7837f7567e837d6eb789cd677e1534c9b8524172e1026044519c0e4ff65ef118",
 }
@@ -67,6 +84,8 @@ CSV_SHA256 = {
 # what `track` prints for the el run that hits the attitude-error limit
 TRACK_LINE = ("el compensator: diverged: attitude error limit exceeded, "
               "max|e_eta| = 1.6368e+00")
+
+TRACK_REL_LINE = "rel compensator: tracked, max|e_eta| = 3.7733e-02"
 
 # run_oracle_comparison on the table3 vehicle, refinement 10, 0.5 s
 ORACLE = {
@@ -93,6 +112,8 @@ def test_cli_csv_is_unchanged(name, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_SHA256[name]
     if name == "track_el":
         assert TRACK_LINE in capsys.readouterr().out.splitlines()
+    if name == "track_rel_tangent":
+        assert TRACK_REL_LINE in capsys.readouterr().out.splitlines()
 
 
 def test_oracle_table_is_unchanged():
