@@ -191,7 +191,7 @@ _SECTIONS = {
         "gyro": _bool,
     },
     "gains": {k: _float for k in
-              ("pos_kp", "pos_ki", "pos_kd", "att_kp", "att_ki", "att_kd")},
+              ("pos_kp", "pos_kd", "att_kp", "att_ki", "att_kd")},
     "helix": {"radius": _float, "rate": _float, "climb": _float,
               "yaw": _float, "yaw_mode": str},
     "input": {"preset": _choice("drifting", "custom"),
@@ -383,10 +383,11 @@ def main(argv=None) -> int:
             if name not in READS[cfg.command]:
                 raise ConfigError(f"--{name}: {cfg.command} does not read it")
         cfg = replace(cfg, **_take(flags, _SECTIONS["run"], "run"))
-        if ("duration" in READS[cfg.command]
-                and integrators.step_count(cfg.duration, cfg.dt) < 1):
-            raise ConfigError(f"duration = {cfg.duration:g} is shorter than "
-                              f"one step of dt = {cfg.dt:g}")
+        if "duration" in READS[cfg.command]:
+            try:
+                integrators.step_count(cfg.duration, cfg.dt)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if cfg.command in ("track", "sweep"):
             # the closed loop commands the wrench: no rotor gyroscopic torque
             cfg.params = cfg.params.with_gyro(False)

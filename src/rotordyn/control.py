@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fast import _attitude_terms, _check_ct, ne_rates_321
-from .integrators import _bad, _rk4_step, step_count
+from .integrators import RUNAWAY, _bad, _rk4_step, step_count
 from .kinematics import (
     SINGULARITY_TOL,
     SingularConfiguration,
@@ -40,14 +40,13 @@ class Gains:
     """Outer position and inner attitude PID gains (scalars applied per axis)."""
 
     pos_kp: float = 6.0
-    pos_ki: float = 0.0
     pos_kd: float = 4.0
     att_kp: float = 900.0
     att_ki: float = 8e3
     att_kd: float = 22.0
 
     def __post_init__(self):
-        for name in ("pos_kp", "pos_ki", "pos_kd", "att_kp", "att_ki", "att_kd"):
+        for name in ("pos_kp", "pos_kd", "att_kp", "att_ki", "att_kd"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative")
 
@@ -95,24 +94,24 @@ def helix_reference(t: float, spec: HelixSpec):
 
 
 def position_outer_loop(p, p_dot, p_ref, pd_ref, pdd_ref, psi_ref,
-                        int_err, gains: Gains, params: QuadParams):
-    """Thrust magnitude and attitude reference from the commanded acceleration.
+                        gains: Gains, params: QuadParams):
+    """Thrust magnitude and attitude reference from the commanded
+    acceleration: PD on the position error plus the reference acceleration.
 
     The commanded specific force f = a_cmd + g e3 is realized by tilting the
     body z axis onto f; raises InfeasibleAttitude if that needs more than
     ``MAX_TILT`` or a non-positive vertical component.  Returns
     ``(thrust, (phi_ref, theta_ref, psi_ref))`` as floats.
     """
-    kp, ki, kd = gains.pos_kp, gains.pos_ki, gains.pos_kd
+    kp, kd = gains.pos_kp, gains.pos_kd
     x0, x1, x2 = p
     v0, v1, v2 = p_dot
     r0, r1, r2 = p_ref
     s0, s1, s2 = pd_ref
     a0, a1, a2 = pdd_ref
-    e0, e1, e2 = int_err
-    fx = a0 + kd * (s0 - v0) + kp * (r0 - x0) + ki * e0
-    fy = a1 + kd * (s1 - v1) + kp * (r1 - x1) + ki * e1
-    fz = a2 + kd * (s2 - v2) + kp * (r2 - x2) + ki * e2 + params.gravity
+    fx = a0 + kd * (s0 - v0) + kp * (r0 - x0)
+    fy = a1 + kd * (s1 - v1) + kp * (r1 - x1)
+    fz = a2 + kd * (s2 - v2) + kp * (r2 - x2) + params.gravity
     norm = math.hypot(fx, fy, fz)
     if fz <= 0.0 or fz / norm < math.cos(MAX_TILT):
         raise InfeasibleAttitude(
@@ -125,9 +124,10 @@ def position_outer_loop(p, p_dot, p_ref, pd_ref, pdd_ref, psi_ref,
     return params.mass * norm, (phi_ref, theta_ref, psi_ref)
 
 
-def attitude_fl_pid(compensator: str, eta, eta_dot, eta_ref, etad_ref,
-                    etadd_ref, int_err, gains: Gains, params: QuadParams):
-    """Body torque command from feedback linearization plus PID.
+def attitude_fl_pid(compensator: str, eta, eta_dot, eta_ref, int_err,
+                    gains: Gains, params: QuadParams):
+    """Body torque command from feedback linearization plus PID on the
+    attitude error, with a constant reference (zero reference rates).
 
     ``compensator`` selects the model used for dynamic compensation:
     'el' applies M = J_R nu + C eta_dot (literature), 'rel' applies
@@ -140,12 +140,10 @@ def attitude_fl_pid(compensator: str, eta, eta_dot, eta_ref, etad_ref,
     x0, x1, x2 = eta
     v0, v1, v2 = eta_dot
     r0, r1, r2 = eta_ref
-    s0, s1, s2 = etad_ref
-    a0, a1, a2 = etadd_ref
     e0, e1, e2 = int_err
-    n0 = a0 + kd * (s0 - v0) + kp * (r0 - x0) + ki * e0
-    n1 = a1 + kd * (s1 - v1) + kp * (r1 - x1) + ki * e1
-    n2 = a2 + kd * (s2 - v2) + kp * (r2 - x2) + ki * e2
+    n0 = kd * -v0 + kp * (r0 - x0) + ki * e0
+    n1 = kd * -v1 + kp * (r1 - x1) + ki * e1
+    n2 = kd * -v2 + kp * (r2 - x2) + ki * e2
     sf, cf = math.sin(x0), math.cos(x0)
     st, ct = math.sin(x1), math.cos(x1)
     if abs(ct) <= SINGULARITY_TOL:
@@ -201,16 +199,9 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
     infeasibility ends the run as diverged.  Raises ValueError for a step
     that is not finite and positive, or a run shorter than one step.
     """
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt = {dt:g}: need finite dt > 0")
     n_steps = step_count(spec.duration, dt)
-    if n_steps < 1:
-        raise ValueError(f"duration = {spec.duration:g} is shorter than "
-                         f"one step of dt = {dt:g}")
     y = _reference_start(spec, gains, params).tolist()
-    q0 = q1 = q2 = 0.0    # integral of the position error
     a0 = a1 = a2 = 0.0    # integral of the attitude error
-    zero3 = (0.0, 0.0, 0.0)
     errors = np.empty((n_steps + 1, 3))
     error_row = memoryview(errors)   # float stores with no ndarray call
 
@@ -242,10 +233,9 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
                        cf * wy - sf * wz, (sf * wy + cf * wz) / ct)
             thrust, eta_ref = position_outer_loop(
                 (x0, x1, x2), p_dot, p_ref, pd_ref, pdd_ref, psi_ref,
-                (q0, q1, q2), gains, params)
+                gains, params)
             torque = attitude_fl_pid(compensator, (phi, theta, psi), eta_dot,
-                                     eta_ref, zero3, zero3, (a0, a1, a2),
-                                     gains, params)
+                                     eta_ref, (a0, a1, a2), gains, params)
         except (InfeasibleAttitude, SingularConfiguration) as exc:
             return result(i, str(exc))
 
@@ -256,9 +246,6 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
         if i == n_steps:
             break
 
-        q0 += (p_ref[0] - x0) * dt
-        q1 += (p_ref[1] - x1) * dt
-        q2 += (p_ref[2] - x2) * dt
         a0 += e0 * dt
         a1 += e1 * dt
         a2 += e2 * dt
@@ -268,7 +255,7 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
         except SingularConfiguration as exc:
             return result(i + 1, str(exc))
         if _bad(y):
-            return result(i + 1, "plant state diverged")
+            return result(i + 1, RUNAWAY)
 
     return result(n_steps + 1)
 
@@ -281,8 +268,7 @@ def _reference_start(spec: HelixSpec, gains: Gains,
     def ff_attitude(t):
         p_ref, pd_ref, pdd_ref, psi_ref = helix_reference(t, spec)
         _, eta_ref = position_outer_loop(p_ref, pd_ref, p_ref, pd_ref,
-                                         pdd_ref, psi_ref, (0.0, 0.0, 0.0),
-                                         gains, params)
+                                         pdd_ref, psi_ref, gains, params)
         return np.array(eta_ref)
 
     p_ref, pd_ref, _, _ = helix_reference(0.0, spec)

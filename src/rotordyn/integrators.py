@@ -20,6 +20,7 @@ import numpy as np
 from .kinematics import SingularConfiguration
 
 DIVERGENCE_LIMIT = 1e9
+RUNAWAY = "non-finite or runaway state"   # the reason for a _bad state
 
 
 @dataclass
@@ -82,8 +83,15 @@ def _bad(y) -> bool:
 
 
 def step_count(t_final: float, dt: float) -> int:
-    """floor(t_final / dt), with slack for a whole number of steps."""
-    return int(np.floor(t_final / dt + 1e-9))
+    """floor(t_final / dt), with slack for a whole number of steps.  Raises
+    ValueError unless dt and t_final are finite and positive and t_final
+    spans at least one step, but not so many that t_final / dt overflows."""
+    if 0 < dt < math.inf and 0 < t_final < math.inf:
+        n = np.floor(t_final / dt + 1e-9)
+        if 1 <= n < math.inf:
+            return int(n)
+    raise ValueError(f"dt = {dt:g}, duration = {t_final:g}: need finite "
+                     f"dt > 0 and a duration of at least one step")
 
 
 def simulate(f, y0, t_final, dt, *, n_steps: int | None = None) -> Trajectory:
@@ -94,9 +102,8 @@ def simulate(f, y0, t_final, dt, *, n_steps: int | None = None) -> Trajectory:
     exceeding DIVERGENCE_LIMIT, or a SingularConfiguration, the trajectory
     is truncated and marked diverged.  Fewer than one step is a ValueError.
     """
-    if not (0 < dt < np.inf and 0 < t_final < np.inf):
-        raise ValueError("need finite dt > 0 and t_final > 0")
-    n_steps = step_count(t_final, dt) if n_steps is None else n_steps
+    grid = step_count(t_final, dt)   # checks dt and t_final
+    n_steps = grid if n_steps is None else n_steps
     if n_steps < 1:
         raise ValueError(f"n_steps = {n_steps}: need at least one step")
     y = np.array(y0, dtype=float).tolist()
@@ -113,7 +120,6 @@ def simulate(f, y0, t_final, dt, *, n_steps: int | None = None) -> Trajectory:
         except SingularConfiguration as exc:
             return Trajectory(dt, states[:i + 1], True, i, str(exc))
         if _bad(y):
-            return Trajectory(dt, states[:i + 1], True, i,
-                              "non-finite or runaway state")
+            return Trajectory(dt, states[:i + 1], True, i, RUNAWAY)
         states[i + 1] = y
     return Trajectory(dt, states)

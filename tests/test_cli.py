@@ -149,6 +149,14 @@ class TestMain:
         p.write_text("[run]\nwat = 1\n")
         assert main(["compare", "--config", str(p)]) == 2
 
+    def test_position_integral_gain_is_an_unknown_key(self, tmp_path, capsys):
+        # the outer loop is PD plus feedforward: there is no pos_ki to set
+        p = tmp_path / "c.cfg"
+        p.write_text("[run]\ncommand = track\n[gains]\npos_ki = 0.5\n")
+        assert main(["run", "--config", str(p)]) == 2
+        assert ("line 4: unknown key 'pos_ki' in [gains]"
+                in capsys.readouterr().err)
+
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
 
@@ -167,6 +175,7 @@ class TestMain:
         ["compare", "--dt", "nan"],
         ["compare", "--duration", "inf", "--dt", "0.5"],
         ["verify", "--seed", "-1"],
+        ["compare", "--duration", "1e300", "--dt", "1e-300"],
     ])
     def test_bad_flag_exits_2(self, capsys, argv):
         assert main(argv) == 2
@@ -220,7 +229,7 @@ class TestMain:
         c for c in cli.COMMANDS if "duration" in cli.READS[c]])
     def test_duration_shorter_than_one_step_exits_2(self, capsys, command):
         assert main([command, "--duration", "0.001", "--dt", "0.01"]) == 2
-        assert "shorter than one step" in capsys.readouterr().err
+        assert "at least one step" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["track", "sweep"])
     def test_infeasible_helix_exits_2(self, tmp_path, capsys, command):

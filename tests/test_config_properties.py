@@ -31,7 +31,7 @@ VALID = {
     ("params", "rotor_inertia"): nonnegative,
     ("params", "gyro"): st.booleans(),
     **{("gains", k): nonnegative for k in
-       ("pos_kp", "pos_ki", "pos_kd", "att_kp", "att_ki", "att_kd")},
+       ("pos_kp", "pos_kd", "att_kp", "att_ki", "att_kd")},
     ("helix", "radius"): positive,
     ("helix", "rate"): finite,
     ("helix", "climb"): finite,

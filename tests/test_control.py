@@ -43,7 +43,7 @@ class TestGainsAndSpec:
         with pytest.raises(ValueError):
             Gains(att_kp=-1.0)
 
-    @pytest.mark.parametrize("name", ["pos_kp", "pos_ki", "pos_kd",
+    @pytest.mark.parametrize("name", ["pos_kp", "pos_kd",
                                       "att_kp", "att_ki", "att_kd"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_gains_reject_non_finite(self, name, value):
@@ -129,13 +129,11 @@ class TestFloatControlStep:
         spec, y = self._step_inputs(params)
         ref = helix_reference(0.7, spec)
         rates = _rates(y, params)
-        out = position_outer_loop(y[0:3], rates[0], *ref, [0.1, 0.0, -0.1],
-                                  Gains(), params)
+        out = position_outer_loop(y[0:3], rates[0], *ref, Gains(), params)
         assert self._all_floats(ref) and self._all_floats(rates)
         assert self._all_floats(out)
         for comp in ("el", "rel"):
             tau = attitude_fl_pid(comp, y[3:6], rates[1], out[1],
-                                  (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
                                   [0.01, -0.02, 0.0], Gains(), params)
             assert len(tau) == 3 and self._all_floats(tau)
 
@@ -145,13 +143,10 @@ class TestFloatControlStep:
         p_ref, pd_ref, pdd_ref, psi = helix_reference(0.7, spec)
         p_dot, eta_dot = _rates(y, params)
         pos = (y[0:3], p_dot, p_ref, pd_ref, pdd_ref)
-        ie = [0.1, 0.0, -0.1]
-        want_pos = position_outer_loop(*pos, psi, ie, Gains(), params)
-        got_pos = position_outer_loop(*map(kind, pos), psi, kind(ie),
-                                      Gains(), params)
+        want_pos = position_outer_loop(*pos, psi, Gains(), params)
+        got_pos = position_outer_loop(*map(kind, pos), psi, Gains(), params)
         assert got_pos == want_pos
-        att = (y[3:6], eta_dot, want_pos[1], [0.2, 0.0, -0.1],
-               [1.0, -2.0, 0.5], [0.01, -0.02, 0.0])
+        att = (y[3:6], eta_dot, want_pos[1], [0.01, -0.02, 0.0])
         for comp in ("el", "rel"):
             want = attitude_fl_pid(comp, *att, Gains(), params)
             got = attitude_fl_pid(comp, *map(kind, att), Gains(), params)
@@ -161,25 +156,23 @@ class TestFloatControlStep:
         # distinct nonzero values in every argument and gain: a term taken
         # from the wrong axis would not cancel
         rng = np.random.default_rng(7)
-        gains = Gains(pos_kp=6.0, pos_ki=1.5, pos_kd=4.0, att_kp=900.0,
-                      att_ki=8e3, att_kd=22.0)
-        x, v, xr, vr, a, e = rng.uniform(-0.5, 0.5, (6, 3))
-        f = a + 4.0 * (vr - v) + 6.0 * (xr - x) + 1.5 * e
+        gains = Gains(pos_kp=6.0, pos_kd=4.0, att_kp=900.0, att_ki=8e3,
+                      att_kd=22.0)
+        x, v, xr, vr, a = rng.uniform(-0.5, 0.5, (5, 3))
+        f = a + 4.0 * (vr - v) + 6.0 * (xr - x)
         f[2] += params.gravity
-        thrust, eta_ref = position_outer_loop(x, v, xr, vr, a, 0.3, e,
-                                              gains, params)
+        thrust, eta_ref = position_outer_loop(x, v, xr, vr, a, 0.3, gains,
+                                              params)
         got = thrust / params.mass * rotation(eta_ref) @ [0.0, 0.0, 1.0]
         assert np.allclose(got, f, rtol=0.0, atol=1e-12)
 
-        eta, etad, er, erd, erdd, ie = rng.uniform(-0.5, 0.5, (6, 3))
-        nu = erdd + 22.0 * (erd - etad) + 900.0 * (er - eta) + 8e3 * ie
+        eta, etad, er, ie = rng.uniform(-0.5, 0.5, (4, 3))
+        nu = 22.0 * -etad + 900.0 * (er - eta) + 8e3 * ie
         want = rotated_inertia(eta, params) @ nu + (
             coriolis_matrix(eta, etad, params) @ etad)
-        got = attitude_fl_pid("el", eta, etad, er, erd, erdd, ie, gains,
-                              params)
+        got = attitude_fl_pid("el", eta, etad, er, ie, gains, params)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-        got = attitude_fl_pid("rel", eta, etad, er, erd, erdd, ie, gains,
-                              params)
+        got = attitude_fl_pid("rel", eta, etad, er, ie, gains, params)
         assert np.allclose(w_matrix(eta).T @ got, want, rtol=1e-12,
                            atol=1e-12)
 
@@ -202,13 +195,11 @@ def assert_matches_spec(got, want, scale):
         (got, want)
 
 
-def fl_pid_spec(compensator, eta, eta_dot, eta_ref, etad_ref, etadd_ref,
-                int_err, gains, params):
+def fl_pid_spec(compensator, eta, eta_dot, eta_ref, int_err, gains, params):
     """The FL-PID torque from the generic matrices, and the size of its
     terms: J_R nu + C eta_dot, mapped through W^-T for 'rel'."""
     eta, eta_dot = np.asarray(eta), np.asarray(eta_dot)
-    nu = (np.asarray(etadd_ref)
-          + gains.att_kd * (np.asarray(etad_ref) - eta_dot)
+    nu = (gains.att_kd * -eta_dot
           + gains.att_kp * (np.asarray(eta_ref) - eta)
           + gains.att_ki * np.asarray(int_err))
     jr = rotated_inertia(eta, params)
@@ -269,7 +260,7 @@ class TestControlStepMatchesTheMatrixSpec:
 
     @pytest.mark.parametrize("compensator", ["el", "rel"])
     @settings(max_examples=200, deadline=None)
-    @given(eta=ETA, eta_dot=VEC3, ref=st.tuples(VEC3, VEC3, VEC3, VEC3))
+    @given(eta=ETA, eta_dot=VEC3, ref=st.tuples(VEC3, VEC3))
     def test_fl_pid_torque(self, compensator, eta, eta_dot, ref):
         args = (compensator, eta, eta_dot, *ref, Gains(), self.PARAMS)
         assert_matches_spec(attitude_fl_pid(*args), *fl_pid_spec(*args))
@@ -279,7 +270,7 @@ class TestOuterLoop:
     def test_hover_command(self, params):
         zero = np.zeros(3)
         thrust, eta_ref = position_outer_loop(
-            zero, zero, zero, zero, zero, 0.3, zero, Gains(), params)
+            zero, zero, zero, zero, zero, 0.3, Gains(), params)
         assert thrust == pytest.approx(params.mass * params.gravity)
         assert np.allclose(eta_ref, [0.0, 0.0, 0.3], atol=1e-12)
 
@@ -287,8 +278,8 @@ class TestOuterLoop:
         zero = np.zeros(3)
         g = params.gravity
         thrust, eta_ref = position_outer_loop(
-            zero, zero, zero, zero, np.array([g, 0.0, 0.0]), 0.0, zero,
-            Gains(), params)
+            zero, zero, zero, zero, np.array([g, 0.0, 0.0]), 0.0, Gains(),
+            params)
         assert eta_ref[1] == pytest.approx(math.pi / 4)
         assert eta_ref[0] == pytest.approx(0.0, abs=1e-12)
         assert thrust == pytest.approx(params.mass * g * math.sqrt(2.0))
@@ -296,8 +287,8 @@ class TestOuterLoop:
     def test_lateral_acceleration_rolls_negative(self, params):
         zero = np.zeros(3)
         _, eta_ref = position_outer_loop(
-            zero, zero, zero, zero, np.array([0.0, 2.0, 0.0]), 0.0, zero,
-            Gains(), params)
+            zero, zero, zero, zero, np.array([0.0, 2.0, 0.0]), 0.0, Gains(),
+            params)
         assert eta_ref[0] < 0.0  # +y specific force needs negative roll
 
     def test_infeasible_tilt_raises(self, params):
@@ -305,11 +296,11 @@ class TestOuterLoop:
         g = params.gravity
         with pytest.raises(InfeasibleAttitude):
             position_outer_loop(zero, zero, zero, zero,
-                                np.array([10.0 * g, 0.0, 0.0]), 0.0, zero,
+                                np.array([10.0 * g, 0.0, 0.0]), 0.0,
                                 Gains(), params)
         with pytest.raises(InfeasibleAttitude):
             position_outer_loop(zero, zero, zero, zero,
-                                np.array([0.0, 0.0, -2.0 * g]), 0.0, zero,
+                                np.array([0.0, 0.0, -2.0 * g]), 0.0,
                                 Gains(), params)
 
 
@@ -325,14 +316,12 @@ class TestAttitudeLinearization:
     def _nonlinear_error(self, compensator, params):
         p = params.with_gyro(False)
         thrust = p.mass * p.gravity
-        zero = np.zeros(3)
 
         def rhs(t, z):
             y, ie = z[:12], z[12:]
             _, eta_dot = _rates(y, p)
             torque = attitude_fl_pid(compensator, y[3:6], eta_dot,
-                                     self.ETA_REF, zero, zero, ie,
-                                     self.GAINS, p)
+                                     self.ETA_REF, ie, self.GAINS, p)
             out = np.empty(15)
             out[:12] = ne_rates_321(y, thrust, torque, p)
             out[12:] = self.ETA_REF - y[3:6]
@@ -374,8 +363,7 @@ class TestAttitudeLinearization:
     def test_rejects_unknown_compensator(self, params):
         zero = np.zeros(3)
         with pytest.raises(ValueError):
-            attitude_fl_pid("pd", zero, zero, zero, zero, zero, zero,
-                            Gains(), params)
+            attitude_fl_pid("pd", zero, zero, zero, zero, Gains(), params)
 
 
 class TestTracking:
@@ -396,7 +384,7 @@ class TestTracking:
         assert result.max_error == math.inf or result.max_error > 0.5
 
     def test_run_shorter_than_one_step_is_rejected(self, params):
-        with pytest.raises(ValueError, match="shorter than one step"):
+        with pytest.raises(ValueError, match="at least one step"):
             run_tracking("rel", HelixSpec(duration=0.001), Gains(),
                          params.with_gyro(False), dt=0.01)
 
@@ -467,7 +455,7 @@ class TestTrackingExits:
     @pytest.mark.parametrize("index, value, reason", [
         (4, math.pi / 2, "|cos theta|"),
         (2, 1e3, "tilt limit"),
-        (9, math.nan, "plant state diverged")])
+        (9, math.nan, "non-finite or runaway state")])
     def test_failure_after_plant_step_k_keeps_k_plus_one_rows(
             self, params, monkeypatch, index, value, reason):
         full = self.run(params)

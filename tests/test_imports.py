@@ -1,4 +1,5 @@
-"""Import hygiene: every name a module imports is referenced in it."""
+"""Import hygiene: every name a module imports is referenced in it, and
+every module-level private name is loaded somewhere in the package."""
 
 import ast
 import pathlib
@@ -33,3 +34,47 @@ def test_checker_flags_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_private_names(modules: dict[str, str]) -> list[str]:
+    """Private names (``_x``) bound at module level in one module and
+    loaded nowhere in the package: not as a name, an attribute or an
+    import."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                loaded.update(a.name for a in node.names)
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                bound = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            unused += [f"{name}.{b}" for b in bound
+                       if b.startswith("_") and not b.startswith("__")
+                       and b not in loaded]
+    return sorted(unused)
+
+
+def test_checker_flags_unused_private_names():
+    modules = {"a": "def _used(): pass\ndef _dead(): pass\n_X = 1\n"
+                    "_Y, z = 2, 3\n",
+               "b": "from .a import _used\nprint(a._X)\n"}
+    assert unused_private_names(modules) == ["a._Y", "a._dead"]
+
+
+def test_every_private_name_is_used():
+    modules = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unused_private_names(modules) == []

@@ -264,6 +264,16 @@ class TestStepCount:
     def test_floor_with_slack(self, t_final, dt, n):
         assert step_count(t_final, dt) == n
 
+    @pytest.mark.parametrize("t_final, dt", [
+        (1.0, 0.0), (1.0, -0.1), (1.0, math.inf), (1.0, math.nan),
+        (0.0, 0.1), (-1.0, 0.1), (math.inf, 0.1), (math.nan, 0.1),
+        (0.05, 0.1), (0.0999, 0.1), (1e300, 1e-300)])
+    def test_rejects_a_bad_grid(self, t_final, dt):
+        with pytest.raises(ValueError,
+                           match="need finite dt > 0 and a duration of at "
+                                 "least one step"):
+            step_count(t_final, dt)
+
     def test_n_steps_is_keyword_only(self):
         with pytest.raises(TypeError):
             simulate(exponential, [1.0], 1.0, 0.1, "rk4")
