@@ -398,7 +398,7 @@ def main(argv=None) -> int:
     print(cfg.echo())
     try:
         return _DISPATCH[cfg.command](cfg)
-    except (ConfigError, control.InfeasibleAttitude) as exc:
+    except (ConfigError, control.InfeasibleAttitude, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -124,10 +124,12 @@ def position_outer_loop(p, p_dot, p_ref, pd_ref, pdd_ref, psi_ref,
     return params.mass * norm, (phi_ref, theta_ref, psi_ref)
 
 
-def attitude_fl_pid(compensator: str, eta, eta_dot, eta_ref, int_err,
+def attitude_fl_pid(compensator: str, trig, eta_dot, err, int_err,
                     gains: Gains, params: QuadParams):
     """Body torque command from feedback linearization plus PID on the
-    attitude error, with a constant reference (zero reference rates).
+    attitude error ``err`` = eta_ref - eta, with a constant reference (zero
+    reference rates).  ``trig`` is (sin phi, cos phi, sin theta, cos theta)
+    of the attitude, whose cos theta the caller has checked.
 
     ``compensator`` selects the model used for dynamic compensation:
     'el' applies M = J_R nu + C eta_dot (literature), 'rel' applies
@@ -137,17 +139,13 @@ def attitude_fl_pid(compensator: str, eta, eta_dot, eta_ref, int_err,
     if compensator not in ("el", "rel"):
         raise ValueError(f"compensator must be 'el' or 'rel': {compensator!r}")
     kp, ki, kd = gains.att_kp, gains.att_ki, gains.att_kd
-    x0, x1, x2 = eta
+    sf, cf, st, ct = trig
     v0, v1, v2 = eta_dot
-    r0, r1, r2 = eta_ref
-    e0, e1, e2 = int_err
-    n0 = kd * -v0 + kp * (r0 - x0) + ki * e0
-    n1 = kd * -v1 + kp * (r1 - x1) + ki * e1
-    n2 = kd * -v2 + kp * (r2 - x2) + ki * e2
-    sf, cf = math.sin(x0), math.cos(x0)
-    st, ct = math.sin(x1), math.cos(x1)
-    if abs(ct) <= SINGULARITY_TOL:
-        _check_ct(ct, x0, x1, x2)
+    e0, e1, e2 = err
+    i0, i1, i2 = int_err
+    n0 = kd * -v0 + kp * e0 + ki * i0
+    n1 = kd * -v1 + kp * e1 + ki * i1
+    n2 = kd * -v2 + kp * e2 + ki * i2
     (j11, j12, j13, j22, j23, j33), (c0, c1, c2) = _attitude_terms(
         sf, cf, st, ct, eta_dot, params)
     t0 = j11 * n0 + j12 * n1 + j13 * n2 + c0
@@ -192,8 +190,9 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
 
     Each control step unpacks the plant state once and writes its
     generalized rates R v and W^-1 omega in place, with the expressions of
-    ``fast.ne_rates_321``.  The wrench is recomputed once per control step
-    and held over the RK4 substages.  The plant sees no rotor-level
+    ``fast.ne_rates_321``, and hands its sin/cos of phi and theta and its
+    attitude error to the torque.  The wrench is recomputed once per control
+    step and held over the RK4 substages.  The plant sees no rotor-level
     gyroscopic torque (wrench commands are applied directly).  Raises
     InfeasibleAttitude for a reference that is infeasible at t = 0; later
     infeasibility ends the run as diverged.  Raises ValueError for a step
@@ -231,15 +230,15 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
                 -st * vx + (ct * sf) * vy + (ct * cf) * vz)
             eta_dot = (wx + sf * tt * wy + cf * tt * wz,   # W^-1 omega
                        cf * wy - sf * wz, (sf * wy + cf * wz) / ct)
-            thrust, eta_ref = position_outer_loop(
+            thrust, (r0, r1, r2) = position_outer_loop(
                 (x0, x1, x2), p_dot, p_ref, pd_ref, pdd_ref, psi_ref,
                 gains, params)
-            torque = attitude_fl_pid(compensator, (phi, theta, psi), eta_dot,
-                                     eta_ref, (a0, a1, a2), gains, params)
         except (InfeasibleAttitude, SingularConfiguration) as exc:
             return result(i, str(exc))
 
-        e0, e1, e2 = eta_ref[0] - phi, eta_ref[1] - theta, eta_ref[2] - psi
+        e0, e1, e2 = r0 - phi, r1 - theta, r2 - psi
+        torque = attitude_fl_pid(compensator, (sf, cf, st, ct), eta_dot,
+                                 (e0, e1, e2), (a0, a1, a2), gains, params)
         error_row[i, 0], error_row[i, 1], error_row[i, 2] = e0, e1, e2
         if max(abs(e0), abs(e1), abs(e2)) > ERROR_LIMIT:
             return result(i + 1, "attitude error limit exceeded")

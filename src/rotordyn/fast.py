@@ -7,9 +7,9 @@ them at machine tolerance.
 
 Float-body convention: every kernel unpacks its state (ndarray, list or
 tuple) once into Python floats and is one straight-line body that makes no
-ndarray and calls no helper but ``_attitude_terms`` (shared with
-``control``).  The ``*_rates_321`` and ``*_derivative_321`` functions
-return the derivative as a list of 12 floats, as ``integrators`` expects.
+ndarray and calls no helper but ``models.mixer`` on the rotor speeds and
+``_attitude_terms`` (shared with ``control``).  ``ne_rates_321`` and the
+``*_derivative_321`` functions return the derivative as a list of 12 floats, as ``integrators`` expects.
 Python floats and numpy float64 round identically, so the result does not
 depend on the type of the state passed in.
 
@@ -127,10 +127,12 @@ def _attitude_terms(sf, cf, st, ct, etad, params: QuadParams):
     return (jx, 0.0, jr13, a, jr23, jr33), c_etad
 
 
-def _gen_rates(y, thrust, tau, params: QuadParams, revised: bool, u=None):
-    """E-L derivative: generalized torque tau (literature) or W^T tau
-    (revised).  With rotor speeds ``u`` (a sequence of floats) the rotor
-    gyroscopic torque at omega = W eta_dot is added to tau first."""
+def _gen_rates(y, u, params: QuadParams, revised: bool) -> list:
+    """E-L derivative at rotor speeds ``u``: the mixer torque plus the rotor
+    gyroscopic torque at omega = W eta_dot enters as the generalized torque
+    tau (literature) or W^T tau (revised)."""
+    u = u.tolist() if isinstance(u, np.ndarray) else u
+    thrust, (tx, ty, tz) = mixer(u, params)
     _, _, _, phi, theta, psi, xd, yd, zd, fd, td, pd = (
         y.tolist() if isinstance(y, np.ndarray) else y)
     sf, cf = math.sin(phi), math.cos(phi)
@@ -138,13 +140,11 @@ def _gen_rates(y, thrust, tau, params: QuadParams, revised: bool, u=None):
     sp, cp = math.sin(psi), math.cos(psi)
     if abs(ct) <= SINGULARITY_TOL:
         _check_ct(ct, phi, theta, psi)
-    tx, ty, tz = tau.tolist() if isinstance(tau, np.ndarray) else tau
-    if u is not None:
-        gx = gy = 0.0
-        if params.gyro_enabled and params.rotor_inertia != 0.0:
-            s = params.rotor_inertia * (-u[0] + u[1] - u[2] + u[3])
-            gx, gy = s * (cf * td + sf * ct * pd), -s * (fd - st * pd)
-        tx, ty = tx + gx, ty + gy
+    gx = gy = 0.0
+    if params.gyro_enabled and params.rotor_inertia != 0.0:
+        s = params.rotor_inertia * (-u[0] + u[1] - u[2] + u[3])
+        gx, gy = s * (cf * td + sf * ct * pd), -s * (fd - st * pd)
+    tx, ty = tx + gx, ty + gy
     if revised:  # generalized torque W^T tau
         tx, ty, tz = (tx, cf * ty - sf * tz,
                       -st * tx + sf * ct * ty + cf * ct * tz)
@@ -172,11 +172,6 @@ def _gen_rates(y, thrust, tau, params: QuadParams, revised: bool, u=None):
     ]
 
 
-def rel_rates_321(y, thrust, tau, params: QuadParams) -> list:
-    """Revised E-L derivative; the torque enters as W^T tau."""
-    return _gen_rates(y, thrust, tau, params, revised=True)
-
-
 def ne_derivative_321(y, u, params: QuadParams) -> list:
     u = u.tolist() if isinstance(u, np.ndarray) else u
     thrust, tau = mixer(u, params)
@@ -184,12 +179,8 @@ def ne_derivative_321(y, u, params: QuadParams) -> list:
 
 
 def el_lit_derivative_321(y, u, params: QuadParams) -> list:
-    u = u.tolist() if isinstance(u, np.ndarray) else u
-    thrust, tau = mixer(u, params)
-    return _gen_rates(y, thrust, tau, params, revised=False, u=u)
+    return _gen_rates(y, u, params, revised=False)
 
 
 def rel_derivative_321(y, u, params: QuadParams) -> list:
-    u = u.tolist() if isinstance(u, np.ndarray) else u
-    thrust, tau = mixer(u, params)
-    return _gen_rates(y, thrust, tau, params, revised=True, u=u)
+    return _gen_rates(y, u, params, revised=True)

@@ -240,6 +240,26 @@ class TestMain:
         assert main(["run", "--config", str(p)]) == 2
         assert "error: commanded specific force" in capsys.readouterr().err
 
+    # grids of PiB size, which no machine allocates: the step fails at once
+    @pytest.mark.parametrize("command", ["simulate", "track", "sweep",
+                                         "compare", "oracle"])
+    def test_step_grid_too_large_to_allocate_exits_2(self, tmp_path,
+                                                     monkeypatch, capsys,
+                                                     command):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--dt", "1e-12", "--duration", "60"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Unable to allocate" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sample_batch_too_large_to_allocate_exits_2(self, tmp_path,
+                                                        capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"[run]\ncommand = verify\nsamples = {10 ** 17}\n")
+        assert main(["run", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Unable to allocate" in err
+
     @pytest.mark.parametrize("command", ["track", "sweep"])
     def test_tangent_yaw_without_rate_exits_2(self, tmp_path, capsys,
                                               command):

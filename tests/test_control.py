@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -36,6 +37,18 @@ def _rates(y, params):
     the Newton-Euler derivative, whose expressions the closed loop uses."""
     d = ne_rates_321(y, 0.0, (0.0, 0.0, 0.0), params)
     return tuple(d[0:3]), tuple(d[3:6])
+
+
+def _trig(eta):
+    """(sin phi, cos phi, sin theta, cos theta): the attitude as the FL-PID
+    torque takes it."""
+    phi, theta = float(eta[0]), float(eta[1])
+    return math.sin(phi), math.cos(phi), math.sin(theta), math.cos(theta)
+
+
+def _error(eta_ref, eta):
+    """eta_ref - eta, as floats."""
+    return tuple(float(r - x) for r, x in zip(eta_ref, eta))
 
 
 class TestGainsAndSpec:
@@ -133,9 +146,34 @@ class TestFloatControlStep:
         assert self._all_floats(ref) and self._all_floats(rates)
         assert self._all_floats(out)
         for comp in ("el", "rel"):
-            tau = attitude_fl_pid(comp, y[3:6], rates[1], out[1],
-                                  [0.01, -0.02, 0.0], Gains(), params)
+            tau = attitude_fl_pid(comp, _trig(y[3:6]), rates[1],
+                                  _error(out[1], y[3:6]), [0.01, -0.02, 0.0],
+                                  Gains(), params)
             assert len(tau) == 3 and self._all_floats(tau)
+
+    def test_torque_evaluates_no_trig(self, params, monkeypatch):
+        spec, y = self._step_inputs(params)
+        p_dot, eta_dot = _rates(y, params)
+        calls = []
+
+        def counted(fn):
+            def call(x):
+                calls.append(fn.__name__)
+                return fn(x)
+            return call
+        counting = types.SimpleNamespace(**vars(math))
+        counting.sin, counting.cos = counted(math.sin), counted(math.cos)
+        monkeypatch.setattr(control, "math", counting)
+        _, eta_ref = position_outer_loop(y[0:3], p_dot,
+                                         *helix_reference(0.7, spec),
+                                         Gains(), params)
+        assert calls   # the counter sees control's own trig
+        calls.clear()
+        for comp in ("el", "rel"):
+            attitude_fl_pid(comp, _trig(y[3:6]), eta_dot,
+                            _error(eta_ref, y[3:6]), [0.01, -0.02, 0.0],
+                            Gains(), params)
+        assert calls == []
 
     @pytest.mark.parametrize("kind", [np.array, list, tuple])
     def test_argument_type_gives_the_same_bits(self, params, kind):
@@ -146,7 +184,8 @@ class TestFloatControlStep:
         want_pos = position_outer_loop(*pos, psi, Gains(), params)
         got_pos = position_outer_loop(*map(kind, pos), psi, Gains(), params)
         assert got_pos == want_pos
-        att = (y[3:6], eta_dot, want_pos[1], [0.01, -0.02, 0.0])
+        att = (_trig(y[3:6]), eta_dot, _error(want_pos[1], y[3:6]),
+               [0.01, -0.02, 0.0])
         for comp in ("el", "rel"):
             want = attitude_fl_pid(comp, *att, Gains(), params)
             got = attitude_fl_pid(comp, *map(kind, att), Gains(), params)
@@ -170,9 +209,11 @@ class TestFloatControlStep:
         nu = 22.0 * -etad + 900.0 * (er - eta) + 8e3 * ie
         want = rotated_inertia(eta, params) @ nu + (
             coriolis_matrix(eta, etad, params) @ etad)
-        got = attitude_fl_pid("el", eta, etad, er, ie, gains, params)
+        got = attitude_fl_pid("el", _trig(eta), etad, er - eta, ie, gains,
+                              params)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-        got = attitude_fl_pid("rel", eta, etad, er, ie, gains, params)
+        got = attitude_fl_pid("rel", _trig(eta), etad, er - eta, ie, gains,
+                              params)
         assert np.allclose(w_matrix(eta).T @ got, want, rtol=1e-12,
                            atol=1e-12)
 
@@ -195,12 +236,13 @@ def assert_matches_spec(got, want, scale):
         (got, want)
 
 
-def fl_pid_spec(compensator, eta, eta_dot, eta_ref, int_err, gains, params):
-    """The FL-PID torque from the generic matrices, and the size of its
-    terms: J_R nu + C eta_dot, mapped through W^-T for 'rel'."""
+def fl_pid_spec(compensator, eta, eta_dot, err, int_err, gains, params):
+    """The FL-PID torque at attitude ``eta`` and attitude error ``err`` from
+    the generic matrices, and the size of its terms: J_R nu + C eta_dot,
+    mapped through W^-T for 'rel'."""
     eta, eta_dot = np.asarray(eta), np.asarray(eta_dot)
     nu = (gains.att_kd * -eta_dot
-          + gains.att_kp * (np.asarray(eta_ref) - eta)
+          + gains.att_kp * np.asarray(err)
           + gains.att_ki * np.asarray(int_err))
     jr = rotated_inertia(eta, params)
     c = coriolis_matrix(eta, eta_dot, params)
@@ -247,23 +289,25 @@ class TestControlStepMatchesTheMatrixSpec:
             run_tracking(compensator, HelixSpec(duration=0.01), self.GAINS,
                          self.PARAMS, dt=0.01)
 
-        (p, p_dot, *_), _ = seen["position_outer_loop"]
+        (p, p_dot, *_), (_, eta_ref) = seen["position_outer_loop"]
         assert list(p) == pos
         r = rotation(eta)
         assert_matches_spec(p_dot, r @ v, np.abs(r) @ np.abs(v))
         args, torque = seen["attitude_fl_pid"]
-        assert args[0] == compensator and list(args[1]) == eta
+        assert args[0] == compensator and args[1] == _trig(eta)
+        assert args[3] == _error(eta_ref, eta)
         w_inv = w_inverse(eta)
         assert_matches_spec(args[2], w_inv @ omega,
                             np.abs(w_inv) @ np.abs(omega))
-        assert_matches_spec(torque, *fl_pid_spec(*args))
+        assert_matches_spec(torque, *fl_pid_spec(compensator, eta, *args[2:]))
 
     @pytest.mark.parametrize("compensator", ["el", "rel"])
     @settings(max_examples=200, deadline=None)
     @given(eta=ETA, eta_dot=VEC3, ref=st.tuples(VEC3, VEC3))
     def test_fl_pid_torque(self, compensator, eta, eta_dot, ref):
-        args = (compensator, eta, eta_dot, *ref, Gains(), self.PARAMS)
-        assert_matches_spec(attitude_fl_pid(*args), *fl_pid_spec(*args))
+        args = (eta_dot, *ref, Gains(), self.PARAMS)
+        assert_matches_spec(attitude_fl_pid(compensator, _trig(eta), *args),
+                            *fl_pid_spec(compensator, eta, *args))
 
 
 class TestOuterLoop:
@@ -320,8 +364,8 @@ class TestAttitudeLinearization:
         def rhs(t, z):
             y, ie = z[:12], z[12:]
             _, eta_dot = _rates(y, p)
-            torque = attitude_fl_pid(compensator, y[3:6], eta_dot,
-                                     self.ETA_REF, ie, self.GAINS, p)
+            torque = attitude_fl_pid(compensator, _trig(y[3:6]), eta_dot,
+                                     self.ETA_REF - y[3:6], ie, self.GAINS, p)
             out = np.empty(15)
             out[:12] = ne_rates_321(y, thrust, torque, p)
             out[12:] = self.ETA_REF - y[3:6]
@@ -363,7 +407,8 @@ class TestAttitudeLinearization:
     def test_rejects_unknown_compensator(self, params):
         zero = np.zeros(3)
         with pytest.raises(ValueError):
-            attitude_fl_pid("pd", zero, zero, zero, zero, Gains(), params)
+            attitude_fl_pid("pd", _trig(zero), zero, zero, zero, Gains(),
+                            params)
 
 
 class TestTracking:

@@ -36,20 +36,25 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
+def loaded_names(tree) -> set[str]:
+    """Names a module loads: as a name, an attribute or an import."""
+    loaded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            loaded.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            loaded.update(a.name for a in node.names)
+    return loaded
+
+
 def unused_private_names(modules: dict[str, str]) -> list[str]:
     """Private names (``_x``) bound at module level in one module and
     loaded nowhere in the package: not as a name, an attribute or an
     import."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    loaded = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                loaded.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                loaded.update(a.name for a in node.names)
+    loaded = set().union(*map(loaded_names, trees.values()))
     unused = []
     for name, tree in trees.items():
         for node in tree.body:
@@ -78,3 +83,29 @@ def test_checker_flags_unused_private_names():
 def test_every_private_name_is_used():
     modules = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert unused_private_names(modules) == []
+
+
+def uncalled_public_functions(module: str,
+                              modules: dict[str, str]) -> list[str]:
+    """Public module-level functions of ``module`` that no other module
+    loads: a kernel only the tests reach."""
+    others = set().union(*(loaded_names(ast.parse(source))
+                           for name, source in modules.items()
+                           if name != module))
+    return sorted(node.name for node in ast.parse(modules[module]).body
+                  if isinstance(node, ast.FunctionDef)
+                  and not node.name.startswith("_")
+                  and node.name not in others)
+
+
+def test_checker_flags_uncalled_public_functions():
+    modules = {"fast": "def used(): pass\ndef dead(): pass\n"
+                       "def _private(): pass\ndef by_attr(): pass\n"
+                       "def self_only(): dead()\n",
+               "lab": "from .fast import used\nf = fast.by_attr\n"}
+    assert uncalled_public_functions("fast", modules) == ["dead", "self_only"]
+
+
+def test_every_fast_kernel_has_a_caller_in_the_package():
+    modules = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert uncalled_public_functions("fast", modules) == []
