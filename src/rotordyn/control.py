@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fast import _attitude_terms, _check_ct, ne_rates_321
-from .integrators import RUNAWAY, _bad, _rk4_step, step_count
+from .integrators import RUNAWAY, _bad, _divergence, _rk4_step, step_count
 from .kinematics import (
     SINGULARITY_TOL,
     SingularConfiguration,
@@ -195,8 +195,9 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
     step and held over the RK4 substages.  The plant sees no rotor-level
     gyroscopic torque (wrench commands are applied directly).  Raises
     InfeasibleAttitude for a reference that is infeasible at t = 0; later
-    infeasibility ends the run as diverged.  Raises ValueError for a step
-    that is not finite and positive, or a run shorter than one step.
+    infeasibility, like a runaway state or stage, ends the run as diverged.
+    Raises ValueError for a step that is not finite and positive, or a run
+    shorter than one step.
     """
     n_steps = step_count(spec.duration, dt)
     y = _reference_start(spec, gains, params).tolist()
@@ -251,8 +252,8 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
 
         try:
             y = step_rk4(f, y, t, dt)
-        except SingularConfiguration as exc:
-            return result(i + 1, str(exc))
+        except (SingularConfiguration, ValueError) as exc:
+            return result(i + 1, _divergence(exc))
         if _bad(y):
             return result(i + 1, RUNAWAY)
 

@@ -4,9 +4,10 @@ The state is carried as a list of Python floats: a derivative function
 f(t, y) receives y as a list and returns exactly n numbers, dy/dt, for a
 state of length n (any other length is a ValueError).  f may raise
 SingularConfiguration; ``simulate`` turns that (and NaN/Inf or runaway
-states) into a Diverged marker on the returned trajectory rather than an
-exception.  Only the recorded rows are numpy.  The RK4 stage arithmetic
-is written out per component, in a step function built once per length.
+states, also in a stage) into a Diverged marker on the returned
+trajectory rather than an exception.  Only the recorded rows are numpy.
+The RK4 stage arithmetic is written out per component, in a step
+function built once per length.
 """
 
 from __future__ import annotations
@@ -82,6 +83,18 @@ def _bad(y) -> bool:
     return not max(map(abs, y)) <= DIVERGENCE_LIMIT or s != s
 
 
+def _divergence(exc: Exception) -> str:
+    """The reason a step that raised ``exc`` diverged: a gimbal lock, or
+    RUNAWAY for math's domain error (``math.sin`` of an infinite stage
+    angle).  Any other error, such as a derivative of the wrong length, is
+    raised again."""
+    if isinstance(exc, SingularConfiguration):
+        return str(exc)
+    if str(exc) == "math domain error":
+        return RUNAWAY
+    raise exc
+
+
 def step_count(t_final: float, dt: float) -> int:
     """floor(t_final / dt), with slack for a whole number of steps.  Raises
     ValueError unless dt and t_final are finite and positive and t_final
@@ -99,8 +112,9 @@ def simulate(f, y0, t_final, dt, *, n_steps: int | None = None) -> Trajectory:
 
     The grid has n_steps + 1 samples (default step_count(t_final, dt)),
     with times i * dt (no accumulated addition).  On NaN/Inf, a component
-    exceeding DIVERGENCE_LIMIT, or a SingularConfiguration, the trajectory
-    is truncated and marked diverged.  Fewer than one step is a ValueError.
+    exceeding DIVERGENCE_LIMIT, an infinite stage angle, or a
+    SingularConfiguration, the trajectory is truncated and marked diverged.
+    Fewer than one step is a ValueError.
     """
     grid = step_count(t_final, dt)   # checks dt and t_final
     n_steps = grid if n_steps is None else n_steps
@@ -117,8 +131,8 @@ def simulate(f, y0, t_final, dt, *, n_steps: int | None = None) -> Trajectory:
         t = i * dt
         try:
             y = step(f, y, t, dt)
-        except SingularConfiguration as exc:
-            return Trajectory(dt, states[:i + 1], True, i, str(exc))
+        except (SingularConfiguration, ValueError) as exc:
+            return Trajectory(dt, states[:i + 1], True, i, _divergence(exc))
         if _bad(y):
             return Trajectory(dt, states[:i + 1], True, i, RUNAWAY)
         states[i + 1] = y

@@ -2,8 +2,7 @@
 
 Elementary rotations, the skew operator, and the map W(eta) between
 Euler-angle rates and body-frame angular velocity, together with its
-inverse, analytic partial derivatives, and the stacked skew structure
-Sigma(W^-1) used by the equivalence checks.
+inverse and the analytic partial derivatives of both.
 
 eta = (phi, theta, psi), so the body->inertial rotation is
 R = R3(psi) @ R2(theta) @ R1(phi) and omega = W(eta) @ eta_dot with omega
@@ -154,27 +153,3 @@ def w_inverse_partials(eta) -> np.ndarray:
     d(W^-1) = -W^-1 dW W^-1."""
     winv = w_inverse(eta)[..., None, :, :]
     return -winv @ w_partials(eta) @ winv
-
-
-def w_inverse_dot(eta, eta_dot) -> np.ndarray:
-    """Analytic time derivative of W^-1 along eta(t)."""
-    return _along(w_inverse_partials(eta), eta_dot)
-
-
-def row_jacobians(eta) -> np.ndarray:
-    """Jacobians P_i of the rows of W^-1, shape (..., 3, 3, 3).
-
-    P[i][j, k] = d (W^-1)[i, j] / d eta_k, i.e. the Jacobian of row i of
-    W^-1 viewed as a column vector.
-    """
-    return np.moveaxis(w_inverse_partials(eta), -3, -1)
-
-
-def sigma_w_inv(eta) -> np.ndarray:
-    """The stacked blocks of Sigma(W^-1), shape (..., 3, 3, 3) with i first.
-
-    Block i is P_i @ W^-1 minus its transpose, which collapses to the
-    skew-symmetric matrix of row i of W^-1.
-    """
-    m = row_jacobians(eta) @ w_inverse(eta)[..., None, :, :]
-    return m - np.swapaxes(m, -1, -2)

@@ -17,16 +17,15 @@ import numpy as np
 from . import fast, models
 from .integrators import Trajectory, simulate, step_count
 from .kinematics import (
+    _along,
     matvec,
     rotation,
     skew,
     w_dot,
     w_inverse,
-    w_inverse_dot,
+    w_inverse_partials,
     w_matrix,
     w_partials,
-    row_jacobians,
-    sigma_w_inv,
 )
 from .models import (
     QuadParams,
@@ -108,28 +107,37 @@ class RelationReport:
 
 
 def _relation_residuals(eta, eta_dot, method: str) -> dict[str, np.ndarray]:
-    """Largest residual entry of each relation per state, for states (..., 3)."""
+    """Largest residual entry of each relation per state, for states (..., 3).
+
+    W, W^-1 and their partials are evaluated once.  P_i, the Jacobian of
+    row i of W^-1 (P[i][j, k] = d(W^-1)[i, j]/d eta_k), is the partials of
+    W^-1 with the eta_k axis moved last; block i of the stacked Sigma(W^-1)
+    is P_i W^-1 minus its transpose.  Method "fd" takes W_dot and
+    d(W^-1)/dt as central differences instead.
+    """
     if method not in ("analytic", "fd"):
         raise ValueError(f"unknown method {method!r}")
     w = w_matrix(eta)
     winv = w_inverse(eta)
+    dw = w_partials(eta)
+    dwinv = w_inverse_partials(eta)
     omega = matvec(w, eta_dot)
-    p = row_jacobians(eta)
+    p = np.moveaxis(dwinv, -3, -1)
 
     if method == "analytic":
-        winv_dot = w_inverse_dot(eta, eta_dot)
-        wd = w_dot(eta, eta_dot)
+        winv_dot, wd = _along(dwinv, eta_dot), _along(dw, eta_dot)
     else:
         def central(f, h=FD_STEP):
             return (f(eta + h * eta_dot) - f(eta - h * eta_dot)) / (2.0 * h)
         winv_dot, wd = central(w_inverse), central(w_matrix)
 
     res = {}
-    # R1: the stacked blocks collapse to skew of the rows of W^-1
-    res["R1"] = sigma_w_inv(eta) - skew(winv)
-    # R2: rows of d(W^-1)/dt equal omega^T ((dw_i/deta) W^-1)^T
     winv_i = winv[..., None, :, :]   # broadcast over the row index i
-    res["R2"] = winv_dot - matvec(p @ winv_i, omega[..., None, :])
+    p_winv = p @ winv_i              # block i: P_i W^-1
+    # R1: the blocks of Sigma(W^-1) collapse to skew of the rows of W^-1
+    res["R1"] = p_winv - np.swapaxes(p_winv, -1, -2) - skew(winv)
+    # R2: rows of d(W^-1)/dt equal omega^T ((dw_i/deta) W^-1)^T
+    res["R2"] = winv_dot - matvec(p_winv, omega[..., None, :])
     # R3: W^-1 (d omega/d eta_dot) = I
     res["R3"] = winv @ w - np.eye(3)
     # R4: (dW^-1/deta) omega rows match the W^-1-factored form times W
@@ -139,8 +147,7 @@ def _relation_residuals(eta, eta_dot, method: str) -> dict[str, np.ndarray]:
     res["R5"] = winv_dot @ w + winv @ wd
     # R6: W_dot = d omega/d eta - S(omega) W; column k of d omega/d eta is
     # (dW/d eta_k) eta_dot
-    domega_deta = np.swapaxes(matvec(w_partials(eta), eta_dot[..., None, :]),
-                              -1, -2)
+    domega_deta = np.swapaxes(matvec(dw, eta_dot[..., None, :]), -1, -2)
     res["R6"] = wd - (domega_deta - skew(omega) @ w)
     # R7: d omega/d eta_dot = W; the body rate vee(R^T R_dot), with R_dot a
     # central difference of R along eta_dot, equals W eta_dot

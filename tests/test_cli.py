@@ -7,6 +7,7 @@ import pytest
 
 from rotordyn import cli, control, lab
 from rotordyn.cli import ConfigError, RunConfig, main, parse_config
+from rotordyn.integrators import RUNAWAY
 
 
 class TestParseConfig:
@@ -239,6 +240,37 @@ class TestMain:
                      "[sweep]\nki_grid = 8000\n")
         assert main(["run", "--config", str(p)]) == 2
         assert "error: commanded specific force" in capsys.readouterr().err
+
+    # An RK4 stage that runs away to an infinite angle makes math.sin raise
+    # inside the kernel: the run ends as diverged and the report is printed.
+    def test_runaway_sweep_cell_keeps_the_other_cells(self, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text("[run]\ncommand = sweep\ndt = 0.002\nduration = 0.2\n"
+                     "[sweep]\nki_grid = 8000, 1e308\ncompensators = el\n")
+        assert main(["run", "--config", str(p)]) == 0
+        rows = [r.split() for r in capsys.readouterr().out.splitlines()
+                if r.startswith("el ")]
+        assert [(r[1], r[2]) for r in rows] == [("8000.0", "True"),
+                                                (f"{1e308:.1f}", "False")]
+
+    def test_runaway_track_run_is_reported_as_diverged(self, tmp_path,
+                                                       capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text("[run]\ncommand = track\ndt = 0.002\nduration = 0.2\n"
+                     "[gains]\natt_kp = 1e308\n")
+        assert main(["run", "--config", str(p)]) == 0
+        assert (f"rel compensator: diverged: {RUNAWAY}, "
+                in capsys.readouterr().out)
+
+    def test_runaway_compare_models_are_reported_as_diverged(self, tmp_path,
+                                                             capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text("[run]\ncommand = compare\ndt = 0.01\nduration = 0.1\n"
+                     "[params]\ngravity = 1e308\n")
+        assert main(["run", "--config", str(p)]) == 0
+        out = capsys.readouterr().out
+        for model in ("ne", "el", "rel"):
+            assert f"note: {model}: diverged at step 0: {RUNAWAY}" in out
 
     # grids of PiB size, which no machine allocates: the step fails at once
     @pytest.mark.parametrize("command", ["simulate", "track", "sweep",

@@ -22,7 +22,7 @@ from rotordyn.control import (
     run_tracking,
 )
 from rotordyn.fast import ne_rates_321
-from rotordyn.integrators import step_rk4
+from rotordyn.integrators import RUNAWAY, step_rk4
 from rotordyn.kinematics import (
     SingularConfiguration,
     rotation,
@@ -522,6 +522,32 @@ class TestTrackingExits:
             return ne_rates_321(y, thrust, torque, params)
         monkeypatch.setattr(control, "ne_rates_321", rates)
         self.check(self.run(params), full, self.K + 1, "injected gimbal lock")
+
+    def rates_with(self, monkeypatch, edit):
+        """control.ne_rates_321 hands its k1 rates of plant step K to
+        ``edit``."""
+        calls = itertools.count()
+
+        def rates(y, thrust, torque, params):
+            out = ne_rates_321(y, thrust, torque, params)
+            return edit(out) if next(calls) == 4 * self.K else out
+        monkeypatch.setattr(control, "ne_rates_321", rates)
+
+    def test_infinite_stage_angle_at_step_i_keeps_i_plus_one_rows(
+            self, params, monkeypatch):
+        full = self.run(params)
+
+        def inf_pitch_rate(out):   # the k2 stage pitch is inf: sin raises
+            out[4] = math.inf
+            return out
+        self.rates_with(monkeypatch, inf_pitch_rate)
+        self.check(self.run(params), full, self.K + 1, RUNAWAY)
+
+    def test_plant_rates_of_the_wrong_length_still_raise(self, params,
+                                                         monkeypatch):
+        self.rates_with(monkeypatch, lambda out: out[:11])
+        with pytest.raises(ValueError, match="values to unpack"):
+            self.run(params)
 
     def test_error_limit_keeps_the_row_that_exceeds_it(self, params):
         spec = HelixSpec(duration=10.0)

@@ -85,27 +85,41 @@ def test_every_private_name_is_used():
     assert unused_private_names(modules) == []
 
 
-def uncalled_public_functions(module: str,
-                              modules: dict[str, str]) -> list[str]:
+def uncalled_public_functions(module: str, modules: dict[str, str],
+                              within: bool = False) -> list[str]:
     """Public module-level functions of ``module`` that no other module
-    loads: a kernel only the tests reach."""
+    loads: a kernel only the tests reach.  With ``within``, a load in
+    ``module`` itself counts too, outside the function's own body."""
     others = set().union(*(loaded_names(ast.parse(source))
                            for name, source in modules.items()
                            if name != module))
-    return sorted(node.name for node in ast.parse(modules[module]).body
-                  if isinstance(node, ast.FunctionDef)
-                  and not node.name.startswith("_")
-                  and node.name not in others)
+    body = ast.parse(modules[module]).body
+    functions = [node for node in body if isinstance(node, ast.FunctionDef)
+                 and not node.name.startswith("_")]
+
+    def used(fn):
+        return fn.name in others or within and any(
+            fn.name in loaded_names(node) for node in body if node is not fn)
+    return sorted(fn.name for fn in functions if not used(fn))
 
 
 def test_checker_flags_uncalled_public_functions():
     modules = {"fast": "def used(): pass\ndef dead(): pass\n"
                        "def _private(): pass\ndef by_attr(): pass\n"
-                       "def self_only(): dead()\n",
+                       "def self_only(): dead()\n"
+                       "def recursive(): recursive()\n",
                "lab": "from .fast import used\nf = fast.by_attr\n"}
-    assert uncalled_public_functions("fast", modules) == ["dead", "self_only"]
+    assert uncalled_public_functions("fast", modules) == [
+        "dead", "recursive", "self_only"]
+    assert uncalled_public_functions("fast", modules, within=True) == [
+        "recursive", "self_only"]
 
 
 def test_every_fast_kernel_has_a_caller_in_the_package():
     modules = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert uncalled_public_functions("fast", modules) == []
+
+
+def test_every_kinematics_function_has_a_caller_in_the_package():
+    modules = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert uncalled_public_functions("kinematics", modules, within=True) == []

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rotordyn import fast
 from rotordyn.integrators import (
     DIVERGENCE_LIMIT,
+    RUNAWAY,
     Trajectory,
     _bad,
     _rk4_step,
@@ -229,6 +230,14 @@ class TestSimulate:
         assert traj.diverged_step is not None
         assert len(traj) == traj.diverged_step + 1
         assert "runaway" in traj.diverged_reason
+
+    def test_infinite_stage_angle_is_a_runaway(self):
+        # k1 is inf, so the k2 stage angle is inf and math.cos raises
+        def f(t, y):
+            return [1e300 * 1e300 * math.cos(y[0])]
+        traj = simulate(f, [0.0], 1.0, 0.1)
+        assert (traj.diverged, traj.diverged_step, len(traj)) == (True, 0, 1)
+        assert traj.diverged_reason == RUNAWAY
 
     def test_marks_singularity_as_diverged(self):
         def f(t, y):

@@ -130,25 +130,8 @@ def test_w_dot_is_directional_derivative(rng):
         assert np.allclose(kin.w_dot(eta, eta_dot), fd, atol=1e-8)
         fd_inv = (kin.w_inverse(eta + h * eta_dot)
                   - kin.w_inverse(eta - h * eta_dot)) / (2 * h)
-        assert np.allclose(kin.w_inverse_dot(eta, eta_dot), fd_inv, atol=1e-6)
-
-
-def test_row_jacobians_index_convention():
-    eta = np.array([0.3, -0.4, 0.9])
-    dwi = kin.w_inverse_partials(eta)
-    p = kin.row_jacobians(eta)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                assert p[i][j, k] == dwi[k][i, j]
-
-
-def test_sigma_blocks_collapse_to_skew_rows(rng):
-    etas, _ = random_attitudes(rng, 25, pitch_bound=1.2)
-    for eta in etas:
-        winv = kin.w_inverse(eta)
-        for i, block in enumerate(kin.sigma_w_inv(eta)):
-            assert np.allclose(block, kin.skew(winv[i]), atol=1e-10)
+        assert np.allclose(kin._along(kin.w_inverse_partials(eta), eta_dot),
+                           fd_inv, atol=1e-6)
 
 
 # -- batches: (..., 3) in, one result per row, bit for bit ------------------
@@ -191,8 +174,7 @@ def assert_rows_stack(batched, single, *batch_args):
 
 
 BY_ETA = [kin.rotation, kin.w_matrix, kin.w_inverse, kin.w_partials,
-          kin.w_inverse_partials, kin.row_jacobians, kin.sigma_w_inv,
-          kin.skew]
+          kin.w_inverse_partials, kin.skew]
 
 
 @pytest.mark.parametrize("fn", BY_ETA, ids=lambda f: f.__name__)
@@ -204,7 +186,7 @@ def test_batch_is_the_stacked_single_results(fn, batch):
     assert_rows_stack(fn, fn, batch[0])
 
 
-@pytest.mark.parametrize("fn", [kin.w_dot, kin.w_inverse_dot, kin.matvec],
+@pytest.mark.parametrize("fn", [kin.w_dot, kin.matvec],
                          ids=lambda f: f.__name__)
 @BATCH
 @given(batch=attitude_batches())
@@ -235,8 +217,7 @@ def test_single_eta_gives_single_matrices():
     eta = [0.3, -0.4, 0.9]
     for fn in (kin.rotation, kin.w_matrix, kin.w_inverse):
         assert fn(eta).shape == (3, 3)
-    for fn in (kin.w_partials, kin.w_inverse_partials, kin.row_jacobians,
-               kin.sigma_w_inv):
+    for fn in (kin.w_partials, kin.w_inverse_partials):
         assert fn(eta).shape == (3, 3, 3)
 
 

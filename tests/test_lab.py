@@ -1,9 +1,10 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
-from rotordyn import lab
+from rotordyn import kinematics, lab
 from rotordyn.integrators import Trajectory
 from rotordyn.kinematics import w_matrix
 from rotordyn.lab import (
@@ -52,6 +53,34 @@ class TestRelations:
                             lambda eta: np.swapaxes(w_matrix(eta), -1, -2))
         report = check_relations(n_samples=20, seed=0, tol=1e-9)
         assert report.residuals["R7"] > report.tol
+
+    def test_wrong_row_jacobian_index_convention_fails(self, monkeypatch):
+        # with the k and i axes of d(W^-1)/d eta swapped, P_i is the wrong
+        # Jacobian: R2 against the independent finite-difference
+        # d(W^-1)/dt catches it (the analytic d(W^-1)/dt is built from the
+        # same swapped partials, so the analytic R2 agrees with it)
+        monkeypatch.setattr(lab, "w_inverse_partials", lambda eta: np.swapaxes(
+            kinematics.w_inverse_partials(eta), -3, -2))
+        report = check_relations(n_samples=20, seed=0, tol=1e-6, method="fd")
+        assert report.residuals["R2"] > report.tol
+
+    def test_one_kinematics_pass_per_check(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(name):
+            fn = getattr(kinematics, name)
+
+            def call(eta):
+                calls[name] += 1
+                return fn(eta)
+            return call
+        for name in ("w_inverse", "w_partials"):
+            wrapper = counted(name)
+            monkeypatch.setattr(kinematics, name, wrapper)
+            monkeypatch.setattr(lab, name, wrapper)
+        check_relations(1000)
+        assert set(calls) == {"w_inverse", "w_partials"}
+        assert max(calls.values()) <= 2
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
