@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fast import _attitude_terms, _check_ct, ne_rates_321
-from .integrators import RUNAWAY, _bad, _divergence, _rk4_step, step_count
+from .integrators import Diverged, Trajectory, _rk4_step, march, step_count
 from .kinematics import (
     SINGULARITY_TOL,
     SingularConfiguration,
@@ -158,46 +158,39 @@ def attitude_fl_pid(compensator: str, trig, eta_dot, err, int_err,
             cf * tt * t0 - sf * t1 + (cf / ct) * t2)
 
 
-@dataclass
-class TrackingResult:
-    """Closed-loop run record: attitude error series and divergence flag."""
-
-    dt: float
-    attitude_error: np.ndarray    # eta_ref - eta at times[i] = i * dt
-    diverged: bool
-    diverged_reason: str = ""
+class TrackingResult(Trajectory):
+    """Closed-loop run record: row i is the attitude error eta_ref - eta
+    at times[i] = i * dt."""
 
     @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(len(self.attitude_error))
+    def attitude_error(self) -> np.ndarray:
+        return self.states
 
     @property
     def max_error(self) -> float:
-        if self.attitude_error.size == 0:
-            return math.inf
-        return float(np.abs(self.attitude_error).max())
+        return float(np.abs(self.states).max()) if len(self) else math.inf
 
     def max_error_after(self, t_transient: float) -> float:
         mask = self.times >= t_transient
         if self.diverged or not mask.any():
             return math.inf
-        return float(np.abs(self.attitude_error[mask]).max())
+        return float(np.abs(self.states[mask]).max())
 
 
 def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
                  params: QuadParams, dt: float = 1e-3) -> TrackingResult:
     """Simulate the closed loop on the Newton-Euler plant.
 
-    Each control step unpacks the plant state once and writes its
-    generalized rates R v and W^-1 omega in place, with the expressions of
-    ``fast.ne_rates_321``, and hands its sin/cos of phi and theta and its
-    attitude error to the torque.  The wrench is recomputed once per control
-    step and held over the RK4 substages.  The plant sees no rotor-level
-    gyroscopic torque (wrench commands are applied directly).  Raises
-    InfeasibleAttitude for a reference that is infeasible at t = 0; later
-    infeasibility, like a runaway state or stage, ends the run as diverged.
-    Raises ValueError for a step that is not finite and positive, or a run
-    shorter than one step.
+    ``integrators.march`` steps the plant; each control step in its loop
+    unpacks the plant state once and writes its generalized rates R v and
+    W^-1 omega in place, with the expressions of ``fast.ne_rates_321``, and
+    hands its sin/cos of phi and theta and its attitude error to the torque.
+    The wrench is held over the RK4 substages.  The plant sees no
+    rotor-level gyroscopic torque (wrench commands are applied directly).
+    Raises InfeasibleAttitude for a reference that is infeasible at t = 0;
+    later infeasibility, gimbal lock or a runaway state or stage ends the
+    run as diverged.  Raises ValueError for a step that is not finite and
+    positive, or a run shorter than one step.
     """
     n_steps = step_count(spec.duration, dt)
     y = _reference_start(spec, gains, params).tolist()
@@ -208,15 +201,13 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
     def f(_t, yy):   # the plant under the wrench of the current step
         return ne_rates_321(yy, thrust, torque, params)
 
-    def result(rows, reason=None):   # the first rows; diverged unless None
-        return TrackingResult(dt, errors[:rows], reason is not None,
-                              reason or "")
+    def diverged(rows, reason):   # the first rows, up to diverged_step
+        return TrackingResult(dt, errors[:rows], True, rows - 1, reason)
 
-    for i in range(n_steps + 1):
-        t = i * dt
-        p_ref, pd_ref, pdd_ref, psi_ref = helix_reference(t, spec)
-        x0, x1, x2, phi, theta, psi, vx, vy, vz, wx, wy, wz = y
-        try:
+    try:
+        for i, y in march(step_rk4, f, y, dt, n_steps):
+            p_ref, pd_ref, pdd_ref, psi_ref = helix_reference(i * dt, spec)
+            x0, x1, x2, phi, theta, psi, vx, vy, vz, wx, wy, wz = y
             sf, cf = math.sin(phi), math.cos(phi)
             st, ct = math.sin(theta), math.cos(theta)
             if abs(ct) <= SINGULARITY_TOL:
@@ -234,30 +225,20 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
             thrust, (r0, r1, r2) = position_outer_loop(
                 (x0, x1, x2), p_dot, p_ref, pd_ref, pdd_ref, psi_ref,
                 gains, params)
-        except (InfeasibleAttitude, SingularConfiguration) as exc:
-            return result(i, str(exc))
-
-        e0, e1, e2 = r0 - phi, r1 - theta, r2 - psi
-        torque = attitude_fl_pid(compensator, (sf, cf, st, ct), eta_dot,
-                                 (e0, e1, e2), (a0, a1, a2), gains, params)
-        error_row[i, 0], error_row[i, 1], error_row[i, 2] = e0, e1, e2
-        if max(abs(e0), abs(e1), abs(e2)) > ERROR_LIMIT:
-            return result(i + 1, "attitude error limit exceeded")
-        if i == n_steps:
-            break
-
-        a0 += e0 * dt
-        a1 += e1 * dt
-        a2 += e2 * dt
-
-        try:
-            y = step_rk4(f, y, t, dt)
-        except (SingularConfiguration, ValueError) as exc:
-            return result(i + 1, _divergence(exc))
-        if _bad(y):
-            return result(i + 1, RUNAWAY)
-
-    return result(n_steps + 1)
+            e0, e1, e2 = r0 - phi, r1 - theta, r2 - psi
+            torque = attitude_fl_pid(compensator, (sf, cf, st, ct), eta_dot,
+                                     (e0, e1, e2), (a0, a1, a2), gains, params)
+            error_row[i, 0], error_row[i, 1], error_row[i, 2] = e0, e1, e2
+            if max(abs(e0), abs(e1), abs(e2)) > ERROR_LIMIT:
+                return diverged(i + 1, "attitude error limit exceeded")
+            a0 += e0 * dt
+            a1 += e1 * dt
+            a2 += e2 * dt
+    except (InfeasibleAttitude, SingularConfiguration) as exc:
+        return diverged(i, str(exc))   # the controller, at step i
+    except Diverged as exc:
+        return diverged(exc.i + 1, exc.reason)   # the plant, after step i
+    return TrackingResult(dt, errors)
 
 
 def _reference_start(spec: HelixSpec, gains: Gains,
@@ -305,7 +286,7 @@ class SweepReport:
     def format_text(self) -> str:
         lines = ["compensator      Ki       stable   max|e_eta|"]
         for r in self.rows:
-            lines.append(f"{r.compensator:<12}{r.ki:>10.1f}   "
+            lines.append(f"{r.compensator:<12}{r.ki:>10g}   "
                          f"{str(r.stable):<8} {r.max_error:.4e}")
         for comp in sorted({r.compensator for r in self.rows}):
             ki = self.min_destabilizing_ki(comp)

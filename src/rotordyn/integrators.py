@@ -2,12 +2,13 @@
 
 The state is carried as a list of Python floats: a derivative function
 f(t, y) receives y as a list and returns exactly n numbers, dy/dt, for a
-state of length n (any other length is a ValueError).  f may raise
-SingularConfiguration; ``simulate`` turns that (and NaN/Inf or runaway
-states, also in a stage) into a Diverged marker on the returned
-trajectory rather than an exception.  Only the recorded rows are numpy.
-The RK4 stage arithmetic is written out per component, in a step
-function built once per length.
+state of length n (any other length is a ValueError).  The RK4 stage
+arithmetic is written out per component, in a step function built once
+per length.  ``march`` is the one stepping loop: it walks the grid
+t = i * dt and raises Diverged for a SingularConfiguration, an infinite
+stage angle or a NaN/Inf or runaway state.  ``simulate`` records its
+states and turns Diverged into a marker on the returned trajectory
+rather than an exception.  Only the recorded rows are numpy.
 """
 
 from __future__ import annotations
@@ -83,16 +84,35 @@ def _bad(y) -> bool:
     return not max(map(abs, y)) <= DIVERGENCE_LIMIT or s != s
 
 
-def _divergence(exc: Exception) -> str:
-    """The reason a step that raised ``exc`` diverged: a gimbal lock, or
-    RUNAWAY for math's domain error (``math.sin`` of an infinite stage
-    angle).  Any other error, such as a derivative of the wrong length, is
-    raised again."""
-    if isinstance(exc, SingularConfiguration):
-        return str(exc)
-    if str(exc) == "math domain error":
-        return RUNAWAY
-    raise exc
+class Diverged(Exception):
+    """Step i of ``march`` (from t = i * dt) failed, for ``reason``."""
+
+    def __init__(self, i: int, reason: str):
+        super().__init__(i, reason)
+        self.i, self.reason = i, reason
+
+
+def march(step, f, y, dt, n_steps):
+    """Yield (i, y) at t = i * dt for i = 0..n_steps, advancing y by
+    ``step(f, y, t, dt)`` after each yield but the last.  A step that meets
+    a SingularConfiguration (its message is the reason), math's domain
+    error (``math.sin`` of an infinite stage angle) or a _bad state raises
+    Diverged(i, reason) in the caller's loop; the last two are RUNAWAY.
+    Any other error, such as a derivative of the wrong length, is raised
+    again."""
+    for i in range(n_steps):
+        yield i, y
+        try:
+            y = step(f, y, i * dt, dt)
+        except SingularConfiguration as exc:
+            raise Diverged(i, str(exc)) from exc
+        except ValueError as exc:
+            if str(exc) != "math domain error":
+                raise
+            raise Diverged(i, RUNAWAY) from exc
+        if _bad(y):
+            raise Diverged(i, RUNAWAY)
+    yield n_steps, y
 
 
 def step_count(t_final: float, dt: float) -> int:
@@ -123,17 +143,10 @@ def simulate(f, y0, t_final, dt, *, n_steps: int | None = None) -> Trajectory:
     y = np.array(y0, dtype=float).tolist()
     if _bad(y):
         raise ValueError("initial state is not finite")
-    step = _rk4_step(len(y))
-
     states = np.empty((n_steps + 1, len(y)))
-    states[0] = y
-    for i in range(n_steps):
-        t = i * dt
-        try:
-            y = step(f, y, t, dt)
-        except (SingularConfiguration, ValueError) as exc:
-            return Trajectory(dt, states[:i + 1], True, i, _divergence(exc))
-        if _bad(y):
-            return Trajectory(dt, states[:i + 1], True, i, RUNAWAY)
-        states[i + 1] = y
+    try:
+        for i, y in march(_rk4_step(len(y)), f, y, dt, n_steps):
+            states[i] = y
+    except Diverged as exc:
+        return Trajectory(dt, states[:exc.i + 1], True, exc.i, exc.reason)
     return Trajectory(dt, states)

@@ -250,8 +250,8 @@ class TestMain:
         assert main(["run", "--config", str(p)]) == 0
         rows = [r.split() for r in capsys.readouterr().out.splitlines()
                 if r.startswith("el ")]
-        assert [(r[1], r[2]) for r in rows] == [("8000.0", "True"),
-                                                (f"{1e308:.1f}", "False")]
+        assert [(r[1], r[2]) for r in rows] == [("8000", "True"),
+                                                ("1e+308", "False")]
 
     def test_runaway_track_run_is_reported_as_diverged(self, tmp_path,
                                                        capsys):

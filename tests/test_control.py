@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rotordyn import control
 from rotordyn.control import (
@@ -230,10 +230,11 @@ ETA = st.tuples(_finite(math.pi), st.floats(-1.3, 1.3, exclude_min=True,
 
 def assert_matches_spec(got, want, scale):
     """|got - want| <= 1e-12 * scale entrywise, where ``scale`` is the
-    entrywise size of the terms summed into ``want``."""
+    entrywise size of the terms summed into ``want``, floored at the
+    smallest normal float so that the bound cannot underflow to 0."""
     assert all(type(v) is float for v in got)
-    assert np.all(np.abs(np.subtract(got, want)) <= 1e-12 * scale), \
-        (got, want)
+    bound = 1e-12 * np.maximum(scale, np.finfo(float).tiny)
+    assert np.all(np.abs(np.subtract(got, want)) <= bound), (got, want)
 
 
 def fl_pid_spec(compensator, eta, eta_dot, err, int_err, gains, params):
@@ -268,6 +269,9 @@ class TestControlStepMatchesTheMatrixSpec:
     @pytest.mark.parametrize("compensator", ["el", "rel"])
     @settings(max_examples=150, deadline=None)
     @given(pos=VEC3, eta=ETA, v=VEC3, omega=VEC3)
+    # the torques differ by one subnormal ulp here, where 1e-12 * scale is 0
+    @example(pos=[0.0] * 3, eta=[5e-324, 0.0, 0.0], v=[0.0] * 3,
+             omega=[0.0, 11.0, 0.0])
     def test_first_control_step(self, compensator, pos, eta, v, omega):
         y = pos + eta + v + omega
         seen = {}
@@ -486,8 +490,11 @@ class TestTrackingExits:
         assert np.array_equal(result.attitude_error,
                               full.attitude_error[:rows])
         assert result.diverged is (reason is not None)
-        if reason is not None:
+        if reason is None:
+            assert result.diverged_step is None
+        else:
             assert reason in result.diverged_reason
+            assert len(result) == result.diverged_step + 1
 
     def test_completed_run_has_one_row_per_step_and_the_start(self, params):
         result = self.run(params)
@@ -555,6 +562,7 @@ class TestTrackingExits:
                               params.with_gyro(False), dt=2e-3)
         assert result.diverged_reason == "attitude error limit exceeded"
         assert len(result.times) == len(result.attitude_error)
+        assert len(result) == result.diverged_step + 1
         assert np.array_equal(result.times,
                               2e-3 * np.arange(len(result.times)))
         assert "times" not in {f.name for f in
@@ -570,6 +578,7 @@ class TestSweep:
         report = SweepReport([
             SweepRow("el", 8e3, True, 0.01),
             SweepRow("el", 16e3, False, math.inf),
+            SweepRow("el", 1e308, False, math.inf),
             SweepRow("rel", 8e3, True, 0.01),
             SweepRow("rel", 16e3, True, 0.02),
         ])
@@ -577,6 +586,9 @@ class TestSweep:
         assert report.min_destabilizing_ki("rel") is None
         text = report.format_text()
         assert "none in grid" in text
+        for row, line in zip(report.rows, text.splitlines()[1:]):
+            # Ki fills columns 12-21 of every row, 1e308 too
+            assert float(line[12:22]) == row.ki and line[22:25] == "   "
 
     def test_rows_equal_one_tracking_run_per_cell(self, params):
         spec = HelixSpec(duration=2.0)

@@ -123,3 +123,11 @@ def test_every_fast_kernel_has_a_caller_in_the_package():
 def test_every_kinematics_function_has_a_caller_in_the_package():
     modules = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert uncalled_public_functions("kinematics", modules, within=True) == []
+
+
+def test_only_integrators_loads_the_step_failure_policy():
+    """``integrators.march`` alone classifies a failed step: no other
+    module loads the runaway test or its reason."""
+    loaders = {p.stem for p in SRC.glob("*.py")
+               if {"_bad", "RUNAWAY"} & loaded_names(ast.parse(p.read_text()))}
+    assert loaders == {"integrators"}

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -10,9 +11,11 @@ from rotordyn import fast
 from rotordyn.integrators import (
     DIVERGENCE_LIMIT,
     RUNAWAY,
+    Diverged,
     Trajectory,
     _bad,
     _rk4_step,
+    march,
     simulate,
     step_count,
     step_rk4,
@@ -191,6 +194,68 @@ class TestConvergenceOrder:
     def test_rk4_is_fourth_order(self):
         ratio = self.global_error(0.02) / self.global_error(0.01)
         assert ratio == pytest.approx(16.0, rel=0.05)
+
+
+def _gimbal_lock(y):
+    raise SingularConfiguration("injected gimbal lock")
+
+
+def _smooth(t, y):
+    return [1.0, -y[1]]
+
+
+# what the derivative returns in the first stage of step K, and what that
+# step ends the march with: None, a Diverged reason or ValueError
+MARCH_EXITS = {
+    "completed": (None, None),
+    "gimbal lock": (_gimbal_lock, "injected gimbal lock"),
+    "infinite stage angle": (lambda y: [math.sin(math.inf), 0.0], RUNAWAY),
+    "nan state": (lambda y: [math.nan, 0.0], RUNAWAY),
+    "runaway state": (lambda y: [1e3 * DIVERGENCE_LIMIT, 0.0], RUNAWAY),
+    "wrong length": (lambda y: [0.0] * 3, ValueError),
+}
+
+
+class TestMarch:
+    DT, N, K = 0.25, 6, 3
+
+    @pytest.mark.parametrize("fault, reason", MARCH_EXITS.values(),
+                             ids=MARCH_EXITS)
+    def test_exits(self, fault, reason):
+        """march yields (i, y) for i = 0..N and hands ``step`` t = i * dt.
+        A failed step K raises Diverged(K, reason) after K + 1 points; any
+        other ValueError is raised as it is."""
+        calls = itertools.count()
+        times, points = [], []
+
+        def f(t, y):
+            if fault is not None and next(calls) == 4 * self.K:
+                return fault(y)
+            return _smooth(t, y)
+
+        def step(f, y, t, dt):
+            times.append(t)
+            return step_rk4(f, y, t, dt)
+
+        def run():
+            for point in march(step, f, [0.0, 1.0], self.DT, self.N):
+                points.append(point)
+
+        clean = list(march(step_rk4, _smooth, [0.0, 1.0], self.DT, self.N))
+        assert [i for i, _ in clean] == list(range(self.N + 1))
+        last = self.K    # the index of the last point yielded
+        if reason is None:
+            run()
+            last = self.N
+        elif reason is ValueError:
+            with pytest.raises(ValueError, match="values to unpack"):
+                run()
+        else:
+            with pytest.raises(Diverged) as info:
+                run()
+            assert (info.value.i, info.value.reason) == (self.K, reason)
+        assert points == clean[:last + 1]
+        assert times == [i * self.DT for i in range(min(last + 1, self.N))]
 
 
 class TestSimulate:
