@@ -6,7 +6,10 @@ the helper-composed derivative kernels, before they were written out as
 straight-line bodies, on x86_64 Linux with Python 3.11.7 and numpy 2.4.6.
 The ``track_rel_tangent`` value was recorded later, the same way, with the
 closed-loop control step as it was before it computed its attitude
-kinematics in one pass.  They depend on the platform's libm (sin, cos):
+kinematics in one pass.  The ``simulate_ne`` hash and ``VERIFY_TEXT`` pin
+the two outputs of the benchmark's ``rotordyn run`` + ``verify`` path; they
+were recorded later still, before the rotor input was written out for four
+rotors and before the relation report kept its worst states.  They depend on the platform's libm (sin, cos):
 on another box, a failure here first says that the platform differs, not
 that the code does.
 
@@ -58,6 +61,7 @@ rate = 1.4
 CLI_RUNS = {
     "compare": (None, ["run", "--config", str(ROOT / "configs/table1.cfg"),
                        "--duration", "2"]),
+    "simulate_ne": (SIMULATE.format(model="ne"), ["run", "--duration", "2"]),
     "simulate_el": (SIMULATE.format(model="el"), ["run", "--duration", "2"]),
     "simulate_rel": (SIMULATE.format(model="rel"), ["run", "--duration", "2"]),
     "track_el": (TRACK, ["run", "--duration", "1"]),
@@ -69,6 +73,8 @@ CLI_RUNS = {
 CSV_SHA256 = {
     "compare":
         "e117aca82b8919a0b0659975066d452a0497b859f65e3e67d2e538251b1328e3",
+    "simulate_ne":
+        "7fed885cd66c9ee92482b90ac15f0fa44798bb0883b537459ff02c7a539e1602",
     "simulate_el":
         "a48668efc105930959244c66e9c8a08177f9e26620749ccc776a8fb2f35be674",
     "simulate_rel":
@@ -86,6 +92,32 @@ TRACK_LINE = ("el compensator: diverged: attitude error limit exceeded, "
               "max|e_eta| = 1.6368e+00")
 
 TRACK_REL_LINE = "rel compensator: tracked, max|e_eta| = 3.7733e-02"
+
+# everything `rotordyn verify` prints at its defaults (1000 states, seed 0)
+VERIFY_TEXT = """\
+effective config:
+  command = verify
+  seed = 0
+  samples = 1000
+  tol = 1e-09
+  params = QuadParams(mass=0.468, jx=0.004856, jy=0.004856, jz=0.008801, \
+gravity=9.81, arm=0.225, thrust_coeff=5.064653404757345e-06, \
+drag_coeff=1.14e-07, rotor_inertia=3.357e-05, gyro_enabled=True)
+relation residuals over 1000 states (seed 0, analytic partials, |pitch| < 1.3):
+  R1: max residual 3.553e-15  (tol 1.0e-09)  pass  at eta = (+1.8968, -1.2455, -1.4694)
+  R2: max residual 3.553e-15  (tol 1.0e-09)  pass  at eta = (+0.6704, -1.2658, -2.4024)
+  R3: max residual 3.341e-16  (tol 1.0e-09)  pass  at eta = (-2.2914, +1.2567, +0.1398)
+  R4: max residual 2.665e-15  (tol 1.0e-09)  pass  at eta = (+2.1381, -1.2747, +1.9743)
+  R5: max residual 4.441e-15  (tol 1.0e-09)  pass  at eta = (-2.3212, -1.2994, +2.1377)
+  R6: max residual 4.441e-16  (tol 1.0e-09)  pass  at eta = (-1.6376, +0.2501, -2.7736)
+  R7: max residual 1.601e-10  (tol 1.0e-09)  pass  at eta = (+2.5701, -1.2534, -0.4465)
+equivalence proof chain residuals (relative):
+  generalized-torque identity: 1.619e-16
+  Newton-Euler closure (revised model): 1.912e-16
+  Newton-Euler closure (literature model): 2.675e-01
+
+verify: PASS
+"""
 
 # run_oracle_comparison on the table3 vehicle, refinement 10, 0.5 s
 ORACLE = {
@@ -114,6 +146,11 @@ def test_cli_csv_is_unchanged(name, tmp_path, capsys):
         assert TRACK_LINE in capsys.readouterr().out.splitlines()
     if name == "track_rel_tangent":
         assert TRACK_REL_LINE in capsys.readouterr().out.splitlines()
+
+
+def test_verify_text_is_unchanged(capsys):
+    assert cli.main(["verify"]) == 0
+    assert capsys.readouterr().out == VERIFY_TEXT
 
 
 def test_oracle_table_is_unchanged():
