@@ -175,7 +175,7 @@ def _gen_rates(y, u, params: QuadParams, revised: bool) -> list:
 def ne_derivative_321(y, u, params: QuadParams) -> list:
     u = u.tolist() if isinstance(u, np.ndarray) else u
     thrust, tau = mixer(u, params)
-    return ne_rates_321(y, thrust, tau, params, u=u)
+    return ne_rates_321(y, thrust, tau, params, u)
 
 
 def el_lit_derivative_321(y, u, params: QuadParams) -> list:

@@ -49,12 +49,12 @@ RATE_FD_STEP = 3e-6
 
 
 def rotor_input(base, amp, freq: float):
-    """u(t) = base + amp sin(freq t), as a list of floats, one per rotor."""
-    pairs = tuple(zip(base, amp))
+    """u(t) = base + amp sin(freq t) for four rotors, as a list of floats."""
+    (b0, b1, b2, b3), (a0, a1, a2, a3) = base, amp   # ValueError unless 4
 
     def u(t):
         s = math.sin(freq * t)
-        return [b + a * s for b, a in pairs]
+        return [b0 + a0 * s, b1 + a1 * s, b2 + a2 * s, b3 + a3 * s]
     return u
 
 
@@ -77,7 +77,7 @@ def sample_states(n: int, seed: int):
 @dataclass
 class RelationReport:
     """Max residual per relation over a sampled batch of states, and the
-    index of the sample where each maximum occurs."""
+    index and eta of the sample where each maximum occurs."""
 
     n_samples: int
     seed: int
@@ -85,6 +85,7 @@ class RelationReport:
     method: str
     residuals: dict[str, float] = field(default_factory=dict)
     worst: dict[str, int] = field(default_factory=dict)
+    worst_eta: dict[str, tuple] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -96,11 +97,10 @@ class RelationReport:
             f"(seed {self.seed}, {self.method} partials, "
             f"|pitch| < {PITCH_SAMPLING_BOUND}):"
         ]
-        etas, _ = sample_states(self.n_samples, self.seed)
         for name in RELATION_NAMES:
             r = self.residuals[name]
             verdict = "pass" if r < self.tol else "FAIL"
-            eta = ", ".join(f"{x:+.4f}" for x in etas[self.worst[name]])
+            eta = ", ".join(f"{x:+.4f}" for x in self.worst_eta[name])
             lines.append(f"  {name}: max residual {r:.3e}  "
                          f"(tol {self.tol:.1e})  {verdict}  at eta = ({eta})")
         return "\n".join(lines)
@@ -164,10 +164,12 @@ def check_relations(n_samples: int = 1000, seed: int = 0, tol: float = 1e-9,
     """Evaluate the seven relations over random sampled states at once."""
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
-    res = _relation_residuals(*sample_states(n_samples, seed), method)
+    etas, eta_dots = sample_states(n_samples, seed)
+    res = _relation_residuals(etas, eta_dots, method)
     worst = {name: int(np.argmax(r)) for name, r in res.items()}
     return RelationReport(n_samples, seed, tol, method, {
-        name: float(res[name][i]) for name, i in worst.items()}, worst)
+        name: float(res[name][i]) for name, i in worst.items()}, worst,
+        {name: tuple(etas[i]) for name, i in worst.items()})
 
 
 @dataclass

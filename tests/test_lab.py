@@ -1,8 +1,10 @@
 import collections
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rotordyn import kinematics, lab
 from rotordyn.integrators import Trajectory
@@ -103,6 +105,38 @@ class TestRelations:
                 assert batch[name].shape == (40,)
                 assert batch[name][i] == one[name]
 
+    # sha256 of format_text() for 1000 states, as the report printed it
+    # when it redrew the samples to name the worst states
+    REPORT_SHA256 = {
+        ("analytic", 0):
+            "d5297969e5f0925b6735d9d0f018aac3d098b9ce0bac238b9acd0d1a24a2359e",
+        ("analytic", 1):
+            "7dc4b93b05afb08b0741f590234f7fabe930ece5e027a56a509549a224efbe93",
+        ("analytic", 2):
+            "d9f5ef4de88257f62996afeccdd8d8403238668a33080d8c54f25330eb4c979a",
+        ("analytic", 3):
+            "b0f7e3e56929f1e81ccef49fcdd369f7b178d5e9e4c599caeed9b24233fe2ced",
+        ("fd", 0):
+            "b682a11cfaeeea2f58aee3ba923eaf6a4f270877ba7c1da47e5eb431a782fef9",
+        ("fd", 1):
+            "cef41efa4ed3c942c2e983754dd1fa3252454812a6ae11a1be6f689b2b899ec1",
+        ("fd", 2):
+            "875c285b4ddae6b335c62c421caf8f17d87798420c9f8a5be2b44e242e75ad8c",
+        ("fd", 3):
+            "56f762613fb8b55fe1083b25003e730e1d1d0fc656249e2f1e84d6e3f73213d5",
+    }
+
+    @pytest.mark.parametrize("method,seed", sorted(REPORT_SHA256))
+    def test_report_prints_without_redrawing(self, monkeypatch, method, seed):
+        report = check_relations(1000, seed, method=method)
+
+        def redraw(n, seed):
+            raise AssertionError("format_text redrew the sampled states")
+        monkeypatch.setattr(lab, "sample_states", redraw)
+        text = report.format_text()
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == self.REPORT_SHA256[method, seed])
+
     def test_report_names_the_worst_state(self):
         report = check_relations(n_samples=60, seed=4)
         etas, eta_dots = sample_states(60, seed=4)
@@ -172,9 +206,32 @@ class TestComparisons:
             assert np.array_equal(np.signbit(u), np.signbit(want))
 
     def test_rotor_input(self):
-        u = lab.rotor_input((1.0, 2.0), (0.5, -0.5), 2.0)
-        assert u(0.0) == [1.0, 2.0]
-        assert u(math.pi / 4) == [1.5, 1.5]
+        u = lab.rotor_input((1.0, 2.0, 3.0, 4.0), (0.5, -0.5, 0.0, 1.0), 2.0)
+        assert u(0.0) == [1.0, 2.0, 3.0, 4.0]
+        assert u(math.pi / 4) == [1.5, 1.5, 3.0, 5.0]
+
+    @pytest.mark.parametrize("base,amp", [
+        ((1.0, 2.0, 3.0), (0.0, 0.0, 0.0, 0.0)),
+        ((1.0, 2.0, 3.0, 4.0), (0.0, 0.0, 0.0)),
+        ((1.0, 2.0, 3.0, 4.0, 5.0), (0.0,) * 5),
+        ((), ()),
+    ])
+    def test_rotor_input_takes_four_rotors(self, base, amp):
+        with pytest.raises(ValueError, match="unpack"):
+            lab.rotor_input(base, amp, 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.floats(-1e12, 1e12, allow_nan=False) | st.sampled_from(
+               [0.0, -0.0, 5e-324, -1e300, 1e300]),
+           base=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
+           amp=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
+           freq=st.floats(-10.0, 10.0))
+    def test_rotor_input_is_the_formula_bit_for_bit(self, t, base, amp, freq):
+        got = lab.rotor_input(tuple(base), tuple(amp), freq)(t)
+        want = [b + a * math.sin(freq * t) for b, a in zip(base, amp)]
+        assert type(got) is list
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_simulate_model_rejects_unknown(self):
         with pytest.raises(ValueError):
