@@ -9,9 +9,9 @@ closed-loop control step as it was before it computed its attitude
 kinematics in one pass.  The ``simulate_ne`` hash and ``VERIFY_TEXT`` pin
 the two outputs of the benchmark's ``rotordyn run`` + ``verify`` path; they
 were recorded later still, before the rotor input was written out for four
-rotors and before the relation report kept its worst states.  They depend on the platform's libm (sin, cos):
-on another box, a failure here first says that the platform differs, not
-that the code does.
+rotors and before the relation report kept its worst states.  They depend
+on the platform's libm (sin, cos): on another box, a failure here first
+says that the platform differs, not that the code does.
 
 Each run goes through ``cli.main`` and is pinned by the sha256 of the CSV
 it writes, whose floats are ``repr`` strings; the oracle run (refinement
