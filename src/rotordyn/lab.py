@@ -46,6 +46,9 @@ FD_STEP = 1e-6
 # round-off: the worst R7 residual over seeds 0-11 of 1000 states is
 # 1.8e-10 at 3e-6, 4.2e-10 at 1e-6 and 1.3e-9 at 1e-5.
 RATE_FD_STEP = 3e-6
+# States per _relation_residuals call in check_relations, whose temporaries
+# (~2 KB per state) then stay one block; 128, 256 and 512 peaked alike.
+RELATION_BLOCK = 256
 
 
 def rotor_input(base, amp, freq: float):
@@ -161,11 +164,15 @@ def _relation_residuals(eta, eta_dot, method: str) -> dict[str, np.ndarray]:
 
 def check_relations(n_samples: int = 1000, seed: int = 0, tol: float = 1e-9,
                     method: str = "analytic") -> RelationReport:
-    """Evaluate the seven relations over random sampled states at once."""
+    """Evaluate the seven relations over sampled states, block by block."""
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
     etas, eta_dots = sample_states(n_samples, seed)
-    res = _relation_residuals(etas, eta_dots, method)
+    blocks = [_relation_residuals(etas[i:i + RELATION_BLOCK],
+                                  eta_dots[i:i + RELATION_BLOCK], method)
+              for i in range(0, n_samples, RELATION_BLOCK)]
+    res = {name: np.concatenate([b[name] for b in blocks])
+           for name in RELATION_NAMES}
     worst = {name: int(np.argmax(r)) for name, r in res.items()}
     return RelationReport(n_samples, seed, tol, method, {
         name: float(res[name][i]) for name, i in worst.items()}, worst,

@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,22 +68,49 @@ class TestRelations:
         assert report.residuals["R2"] > report.tol
 
     def test_one_kinematics_pass_per_check(self, monkeypatch):
-        calls = collections.Counter()
+        # counted in states, so the bound holds however the check is blocked
+        states = collections.Counter()
 
         def counted(name):
             fn = getattr(kinematics, name)
 
             def call(eta):
-                calls[name] += 1
+                states[name] += np.size(eta) // 3
                 return fn(eta)
             return call
         for name in ("w_inverse", "w_partials"):
             wrapper = counted(name)
             monkeypatch.setattr(kinematics, name, wrapper)
             monkeypatch.setattr(lab, name, wrapper)
-        check_relations(1000)
-        assert set(calls) == {"w_inverse", "w_partials"}
-        assert max(calls.values()) <= 2
+        n_samples = 1000
+        check_relations(n_samples)
+        assert set(states) == {"w_inverse", "w_partials"}
+        assert max(states.values()) <= 2 * n_samples
+
+    @pytest.mark.parametrize("method", ["analytic", "fd"])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 769])
+    def test_blocks_match_one_batch(self, method, n):
+        # block edges at RELATION_BLOCK = 256: the report is the one a
+        # single _relation_residuals call over all n states gives
+        report = check_relations(n, seed=6, method=method)
+        etas, eta_dots = sample_states(n, seed=6)
+        batch = lab._relation_residuals(etas, eta_dots, method)
+        for name in RELATION_NAMES:
+            i = int(np.argmax(batch[name]))
+            assert report.worst[name] == i
+            assert report.residuals[name] == float(batch[name][i])
+            assert report.worst_eta[name] == tuple(etas[i])
+
+    def test_check_memory_is_bounded(self):
+        # about 3 MiB in blocks: one block plus the per-state samples and
+        # maxima, where one batch of all 20 000 states needs about 40 MiB
+        tracemalloc.start()
+        try:
+            check_relations(20_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
