@@ -294,8 +294,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
     proof = lab.check_proof_chain([0.3, 0.4, 0.5], [0.1, -0.2, 0.3],
                                   [0.01, 0.02, 0.03], cfg.params)
     print(proof.format_text())
-    ok = (report.passed and proof.newton_euler_residual < cfg.tol
-          and proof.literature_residual > 1e-3)
+    ok = (report.passed and proof.literature_residual > 1e-3
+          and max(proof.coriolis_residual, proof.newton_euler_residual) < cfg.tol)
     print("verify:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 

@@ -2,13 +2,15 @@
 
 Elementary rotations, the skew operator, and the map W(eta) between
 Euler-angle rates and body-frame angular velocity, together with its
-inverse and the analytic partial derivatives of both.
+inverse and the analytic partial derivatives of W.
 
 eta = (phi, theta, psi), so the body->inertial rotation is
 R = R3(psi) @ R2(theta) @ R1(phi) and omega = W(eta) @ eta_dot with omega
 in the body frame.  Built from elementary rotations, this is the spec the
 closed-form ``fast`` kernels are pinned to.  Every function broadcasts over
 leading axes: eta of shape (..., 3) gives matrices of shape (..., 3, 3).
+Complex input gives complex output, for complex-step derivatives; real
+input is computed in float64.
 """
 
 from __future__ import annotations
@@ -29,15 +31,21 @@ class SingularConfiguration(Exception):
     """Raised when W(eta) is (near-)singular, i.e. close to gimbal lock."""
 
 
+def _arr(x) -> np.ndarray:
+    """x as a float64 array, or a complex128 one if x is complex."""
+    x = np.asarray(x)
+    return x.astype(complex if np.iscomplexobj(x) else float, copy=False)
+
+
 def matvec(m, v) -> np.ndarray:
     """m @ v for stacks of matrices (..., 3, 3) and vectors (..., 3)."""
-    return (m @ np.asarray(v, float)[..., None])[..., 0]
+    return (m @ _arr(v)[..., None])[..., 0]
 
 
 def skew(a) -> np.ndarray:
     """Skew-symmetric matrix of a 3-vector: skew(a) @ b == cross(a, b)."""
-    a = np.asarray(a, float)
-    out = np.zeros(a.shape + (3,))
+    a = _arr(a)
+    out = np.zeros(a.shape + (3,), a.dtype)
     out[..., [2, 0, 1], [1, 2, 0]] = a
     out[..., [1, 2, 0], [2, 0, 1]] = -a
     return out
@@ -50,10 +58,10 @@ def elem_rotation(axis: int, angle) -> np.ndarray:
     """Rotation by `angle` about coordinate axis 1, 2 or 3."""
     if axis not in _PLANES:
         raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
-    angle = np.asarray(angle, float)
+    angle = _arr(angle)
     s = np.sin(angle)
     i, j = _PLANES[axis]
-    out = np.zeros(angle.shape + (3, 3))
+    out = np.zeros(angle.shape + (3, 3), angle.dtype)
     out[..., axis - 1, axis - 1] = 1.0
     out[..., i, i] = out[..., j, j] = np.cos(angle)
     out[..., i, j], out[..., j, i] = -s, s
@@ -62,7 +70,7 @@ def elem_rotation(axis: int, angle) -> np.ndarray:
 
 def rotation(eta) -> np.ndarray:
     """Body->inertial rotation matrix R3(psi) @ R2(theta) @ R1(phi)."""
-    eta = np.asarray(eta, float)
+    eta = _arr(eta)
     return (elem_rotation(3, eta[..., 2])
             @ elem_rotation(2, eta[..., 1])
             @ elem_rotation(1, eta[..., 0]))
@@ -74,9 +82,9 @@ def w_matrix(eta) -> np.ndarray:
     Columns are the body-frame directions of the three elementary rotation
     rates: [e1, R1(-phi) e2, R1(-phi) R2(-theta) e3].
     """
-    eta = np.asarray(eta, float)
+    eta = _arr(eta)
     r1 = elem_rotation(1, -eta[..., 0])
-    out = np.zeros(r1.shape)
+    out = np.zeros(r1.shape, r1.dtype)
     out[..., 0, 0] = 1.0
     out[..., :, 1] = r1 @ E2
     out[..., :, 2] = matvec(r1, elem_rotation(2, -eta[..., 1]) @ E3)
@@ -86,7 +94,7 @@ def w_matrix(eta) -> np.ndarray:
 def _det_adjugate(m):
     """Determinant and adjugate of matrices (..., 3, 3), by cofactors."""
     (a, b, c), (d, e, f), (g, h, i) = m.transpose(-2, -1, *range(m.ndim - 2))
-    adj = np.empty(m.shape)
+    adj = np.empty(m.shape, m.dtype)
     adj[..., 0, 0] = e * i - f * h
     adj[..., 0, 1] = c * h - b * i
     adj[..., 0, 2] = b * f - c * e
@@ -105,7 +113,7 @@ def w_inverse(eta) -> np.ndarray:
     Raises SingularConfiguration when |det W| <= SINGULARITY_TOL, naming
     the first such eta of a batch and its index.
     """
-    eta = np.asarray(eta, float)
+    eta = _arr(eta)
     det, adj = _det_adjugate(w_matrix(eta))
     locked = np.abs(det) <= SINGULARITY_TOL
     if locked.any():
@@ -123,10 +131,10 @@ def w_partials(eta) -> np.ndarray:
     Uses d/dalpha R_a(alpha) = skew(e_a) @ R_a(alpha); W never depends on
     the yaw psi = eta[2].
     """
-    eta = np.asarray(eta, float)
+    eta = _arr(eta)
     r1 = elem_rotation(1, -eta[..., 0])
     r2e3 = elem_rotation(2, -eta[..., 1]) @ E3
-    out = np.zeros(eta.shape + (3, 3))
+    out = np.zeros(eta.shape + (3, 3), eta.dtype)
     # d/d phi: both r1-dependent columns pick up -skew(e1) on the left of r1
     out[..., 0, :, 1] = -matvec(_S1, r1 @ E2)
     out[..., 0, :, 2] = -matvec(_S1, matvec(r1, r2e3))
@@ -135,21 +143,9 @@ def w_partials(eta) -> np.ndarray:
     return out
 
 
-def _along(partials, rate) -> np.ndarray:
-    """Time derivative along eta(t) with rate eta_dot, from d/d(eta_k)."""
-    rate = np.asarray(rate, float)[..., None, None]
-    return (partials[..., 0, :, :] * rate[..., 0, :, :]
-            + partials[..., 1, :, :] * rate[..., 1, :, :]
-            + partials[..., 2, :, :] * rate[..., 2, :, :])
-
-
 def w_dot(eta, eta_dot) -> np.ndarray:
     """Analytic time derivative of W along eta(t) with rate eta_dot."""
-    return _along(w_partials(eta), eta_dot)
-
-
-def w_inverse_partials(eta) -> np.ndarray:
-    """Analytic partials d(W^-1)/d(eta_k), shape (..., 3, 3, 3), via
-    d(W^-1) = -W^-1 dW W^-1."""
-    winv = w_inverse(eta)[..., None, :, :]
-    return -winv @ w_partials(eta) @ winv
+    dw, rate = w_partials(eta), _arr(eta_dot)[..., None, None]
+    return (dw[..., 0, :, :] * rate[..., 0, :, :]
+            + dw[..., 1, :, :] * rate[..., 1, :, :]
+            + dw[..., 2, :, :] * rate[..., 2, :, :])

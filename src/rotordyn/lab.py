@@ -17,19 +17,18 @@ import numpy as np
 from . import fast, models
 from .integrators import Trajectory, simulate, step_count
 from .kinematics import (
-    _along,
     matvec,
     rotation,
     skew,
     w_dot,
     w_inverse,
-    w_inverse_partials,
     w_matrix,
     w_partials,
 )
 from .models import (
     QuadParams,
     body_to_gen,
+    coriolis_matrix,
     el_lit_rates,
     rel_rates,
 )
@@ -41,11 +40,10 @@ RELATION_NAMES = ("R1", "R2", "R3", "R4", "R5", "R6", "R7")
 
 # Pitch kept away from the 321 gimbal lock when sampling random states
 PITCH_SAMPLING_BOUND = 1.3
-FD_STEP = 1e-6
-# Central-difference step for R_dot in R7, balancing truncation against
-# round-off: the worst R7 residual over seeds 0-11 of 1000 states is
-# 1.8e-10 at 3e-6, 4.2e-10 at 1e-6 and 1.3e-9 at 1e-5.
-RATE_FD_STEP = 3e-6
+# Complex step: f'(x) dx = Im f(x + i h dx) / h + O(h^2) takes no
+# difference, so it is exact to round-off at any small h (Squire & Trapp,
+# SIAM Review 40, 1998).
+CS_STEP = 1e-30
 # States per _relation_residuals call in check_relations, whose temporaries
 # (~2 KB per state) then stay one block; 128, 256 and 512 peaked alike.
 RELATION_BLOCK = 256
@@ -85,7 +83,6 @@ class RelationReport:
     n_samples: int
     seed: int
     tol: float
-    method: str
     residuals: dict[str, float] = field(default_factory=dict)
     worst: dict[str, int] = field(default_factory=dict)
     worst_eta: dict[str, tuple] = field(default_factory=dict)
@@ -97,7 +94,7 @@ class RelationReport:
     def format_text(self) -> str:
         lines = [
             f"relation residuals over {self.n_samples} states "
-            f"(seed {self.seed}, {self.method} partials, "
+            f"(seed {self.seed}, complex-step derivatives, "
             f"|pitch| < {PITCH_SAMPLING_BOUND}):"
         ]
         for name in RELATION_NAMES:
@@ -109,72 +106,75 @@ class RelationReport:
         return "\n".join(lines)
 
 
-def _relation_residuals(eta, eta_dot, method: str) -> dict[str, np.ndarray]:
+def _row_jacobians(winv, dw) -> np.ndarray:
+    """P_i, the Jacobian of row i of W^-1 (P[..., i, j, k] =
+    d(W^-1)[i, j]/d eta_k), from d(W^-1) = -W^-1 dW W^-1."""
+    winv = winv[..., None, :, :]
+    return np.moveaxis(-winv @ dw @ winv, -3, -1)
+
+
+def _relation_residuals(eta, eta_dot) -> dict[str, np.ndarray]:
     """Largest residual entry of each relation per state, for states (..., 3).
 
-    W, W^-1 and their partials are evaluated once.  P_i, the Jacobian of
-    row i of W^-1 (P[i][j, k] = d(W^-1)[i, j]/d eta_k), is the partials of
-    W^-1 with the eta_k axis moved last; block i of the stacked Sigma(W^-1)
-    is P_i W^-1 minus its transpose.  Method "fd" takes W_dot and
-    d(W^-1)/dt as central differences instead.
+    W, W^-1, dW/d eta_k and P_i are evaluated once, analytically; block i
+    of the stacked Sigma(W^-1) is P_i W^-1 minus its transpose.  R2 and
+    R4-R7 check them against derivatives taken by complex step: P_i and
+    d(W^-1)/dt from one complex W^-1 over the directions e1, e2, e3 and
+    eta_dot, and W_dot and R_dot along eta_dot.
     """
-    if method not in ("analytic", "fd"):
-        raise ValueError(f"unknown method {method!r}")
     w = w_matrix(eta)
     winv = w_inverse(eta)
     dw = w_partials(eta)
-    dwinv = w_inverse_partials(eta)
     omega = matvec(w, eta_dot)
-    p = np.moveaxis(dwinv, -3, -1)
+    p = _row_jacobians(winv, dw)
 
-    if method == "analytic":
-        winv_dot, wd = _along(dwinv, eta_dot), _along(dw, eta_dot)
-    else:
-        def central(f, h=FD_STEP):
-            return (f(eta + h * eta_dot) - f(eta - h * eta_dot)) / (2.0 * h)
-        winv_dot, wd = central(w_inverse), central(w_matrix)
+    steps = np.concatenate([np.broadcast_to(np.eye(3), w.shape),
+                            eta_dot[..., None, :]], -2)    # e1, e2, e3, eta_dot
+    dwinv = w_inverse(eta[..., None, :] + 1j * CS_STEP * steps).imag / CS_STEP
+    p_cs = np.moveaxis(dwinv[..., :3, :, :], -3, -1)
+    winv_dot = dwinv[..., 3, :, :]
+    along = eta + 1j * CS_STEP * eta_dot
+    wd = w_matrix(along).imag / CS_STEP
 
     res = {}
-    winv_i = winv[..., None, :, :]   # broadcast over the row index i
-    p_winv = p @ winv_i              # block i: P_i W^-1
+    p_winv = p @ winv[..., None, :, :]     # block i: P_i W^-1
     # R1: the blocks of Sigma(W^-1) collapse to skew of the rows of W^-1
     res["R1"] = p_winv - np.swapaxes(p_winv, -1, -2) - skew(winv)
     # R2: rows of d(W^-1)/dt equal omega^T ((dw_i/deta) W^-1)^T
     res["R2"] = winv_dot - matvec(p_winv, omega[..., None, :])
     # R3: W^-1 (d omega/d eta_dot) = I
     res["R3"] = winv @ w - np.eye(3)
-    # R4: (dW^-1/deta) omega rows match the W^-1-factored form times W
-    omega_p = omega[..., None, None, :] @ p    # row i: omega^T P_i
-    res["R4"] = omega_p[..., 0, :] - (omega_p @ winv_i)[..., 0, :] @ w
+    # R4: rows omega^T P_i, with P_i by complex step, match the
+    # W^-1-factored form omega^T P_i W^-1 times W
+    omega_i = omega[..., None, None, :]    # broadcast over the row index i
+    res["R4"] = ((omega_i @ p_cs)[..., 0, :]
+                 - (omega_i @ p_winv)[..., 0, :] @ w)
     # R5: product rule for d/dt(W^-1 W) = 0
     res["R5"] = winv_dot @ w + winv @ wd
     # R6: W_dot = d omega/d eta - S(omega) W; column k of d omega/d eta is
     # (dW/d eta_k) eta_dot
     domega_deta = np.swapaxes(matvec(dw, eta_dot[..., None, :]), -1, -2)
     res["R6"] = wd - (domega_deta - skew(omega) @ w)
-    # R7: d omega/d eta_dot = W; the body rate vee(R^T R_dot), with R_dot a
-    # central difference of R along eta_dot, equals W eta_dot
-    h = RATE_FD_STEP
-    s = np.swapaxes(rotation(eta), -1, -2) @ (
-        rotation(eta + h * eta_dot) - rotation(eta - h * eta_dot)) / (2.0 * h)
+    # R7: d omega/d eta_dot = W; the body rate vee(R^T R_dot) equals W eta_dot
+    s = np.swapaxes(rotation(eta), -1, -2) @ rotation(along).imag / CS_STEP
     res["R7"] = np.stack([s[..., 2, 1], s[..., 0, 2], s[..., 1, 0]], -1) - omega
     return {name: np.abs(r).reshape(np.shape(eta)[:-1] + (-1,)).max(-1)
             for name, r in res.items()}
 
 
-def check_relations(n_samples: int = 1000, seed: int = 0, tol: float = 1e-9,
-                    method: str = "analytic") -> RelationReport:
+def check_relations(n_samples: int = 1000, seed: int = 0,
+                    tol: float = 1e-9) -> RelationReport:
     """Evaluate the seven relations over sampled states, block by block."""
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
     etas, eta_dots = sample_states(n_samples, seed)
     blocks = [_relation_residuals(etas[i:i + RELATION_BLOCK],
-                                  eta_dots[i:i + RELATION_BLOCK], method)
+                                  eta_dots[i:i + RELATION_BLOCK])
               for i in range(0, n_samples, RELATION_BLOCK)]
     res = {name: np.concatenate([b[name] for b in blocks])
            for name in RELATION_NAMES}
     worst = {name: int(np.argmax(r)) for name, r in res.items()}
-    return RelationReport(n_samples, seed, tol, method, {
+    return RelationReport(n_samples, seed, tol, {
         name: float(res[name][i]) for name, i in worst.items()}, worst,
         {name: tuple(etas[i]) for name, i in worst.items()})
 
@@ -183,14 +183,14 @@ def check_relations(n_samples: int = 1000, seed: int = 0, tol: float = 1e-9,
 class ProofChainReport:
     """Residuals of the revised-model equivalence proof at one state."""
 
-    generalized_torque_residual: float   # both sides of W^T(S(w)Jw + Jw_dot) = W^T M
-    newton_euler_residual: float         # J w_dot + S(w) J w = M, relative
-    literature_residual: float           # same check with the literature accel
+    coriolis_residual: float      # C eta_dot = W^T(J W_dot eta_dot + S(w)Jw), relative
+    newton_euler_residual: float  # J w_dot + S(w) J w = M, relative
+    literature_residual: float    # same check with the literature accel
 
     def format_text(self) -> str:
         return (
             "equivalence proof chain residuals (relative):\n"
-            f"  generalized-torque identity: {self.generalized_torque_residual:.3e}\n"
+            f"  Coriolis identity (torque-free): {self.coriolis_residual:.3e}\n"
             f"  Newton-Euler closure (revised model): {self.newton_euler_residual:.3e}\n"
             f"  Newton-Euler closure (literature model): {self.literature_residual:.3e}\n"
         )
@@ -219,12 +219,14 @@ def check_proof_chain(eta, eta_dot, torque, params: QuadParams) -> ProofChainRep
     rel_dd = rel_rates(state, 0.0, torque, zero, params)[models.ETADOT]
     lit_dd = el_lit_rates(state, 0.0, torque, zero, params)[models.ETADOT]
 
-    res_ne = ne_residual(rel_dd)
-    gen_res = w.T @ ne_residual(rel_dd)  # W^T(Jw_dot + S(w)Jw - M)
+    # the torque-free terms of W^T (J w_dot + S(w) J w) are C eta_dot
+    rate_terms = w.T @ (j @ wd @ eta_dot + np.cross(omega, j @ omega))
+    coriolis = coriolis_matrix(eta, eta_dot, params) @ eta_dot - rate_terms
     return ProofChainReport(
-        generalized_torque_residual=np.linalg.norm(gen_res) / scale,
-        newton_euler_residual=np.linalg.norm(res_ne) / scale,
-        literature_residual=np.linalg.norm(ne_residual(lit_dd)) / scale,
+        coriolis_residual=float(np.linalg.norm(coriolis)
+                                / max(np.linalg.norm(rate_terms), 1e-12)),
+        newton_euler_residual=float(np.linalg.norm(ne_residual(rel_dd)) / scale),
+        literature_residual=float(np.linalg.norm(ne_residual(lit_dd)) / scale),
     )
 
 

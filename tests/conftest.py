@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rotordyn import lab
-from rotordyn.kinematics import SingularConfiguration
-from rotordyn.models import QuadParams
+from rotordyn.kinematics import SingularConfiguration, w_dot, w_matrix
+from rotordyn.models import QuadParams, coriolis_matrix
 
 
 @pytest.fixture
@@ -39,3 +39,10 @@ def ne_diverges(monkeypatch):
         return original(y, u, params)
 
     monkeypatch.setitem(lab._MODEL_FNS, "ne", ne)
+
+
+def g_flipped_coriolis(eta, eta_dot, params):
+    """C with the sign of G/2 flipped: J_R_dot + G/2 = 2 J_R_dot - C."""
+    w, wd, j = w_matrix(eta), w_dot(eta, eta_dot), params.inertia
+    jr_dot = wd.T @ j @ w + w.T @ j @ wd
+    return 2.0 * jr_dot - coriolis_matrix(eta, eta_dot, params)

@@ -38,8 +38,7 @@ HEAVY = QuadParams(jx=97.12e-3, jy=97.12e-3, jz=176.02e-3,
 
 def test_criterion_1_relation_residuals():
     start = time.perf_counter()
-    report = check_relations(n_samples=1000, seed=0, tol=1e-9,
-                             method="analytic")
+    report = check_relations(n_samples=1000, seed=0, tol=1e-9)
     elapsed = time.perf_counter() - start
     assert report.passed, report.format_text()
     assert elapsed < 5.0, f"relation suite took {elapsed:.1f} s"

@@ -8,6 +8,7 @@ import pytest
 from rotordyn import cli, control, lab
 from rotordyn.cli import ConfigError, RunConfig, main, parse_config
 from rotordyn.integrators import RUNAWAY
+from conftest import g_flipped_coriolis
 
 
 class TestParseConfig:
@@ -304,6 +305,14 @@ class TestMain:
     def test_verify_passes_on_defaults(self, capsys):
         assert main(["verify"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_verify_fails_on_the_coriolis_identity(self, monkeypatch,
+                                                   capsys):
+        monkeypatch.setattr(lab, "coriolis_matrix", g_flipped_coriolis)
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "R7:" in out and "  FAIL  " not in out   # the relations pass
+        assert out.endswith("verify: FAIL\n")
 
     def test_simulate_writes_trajectory_csv(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"

@@ -9,7 +9,9 @@ closed-loop control step as it was before it computed its attitude
 kinematics in one pass.  The ``simulate_ne`` hash and ``VERIFY_TEXT`` pin
 the two outputs of the benchmark's ``rotordyn run`` + ``verify`` path; they
 were recorded later still, before the rotor input was written out for four
-rotors and before the relation report kept its worst states.  They depend
+rotors and before the relation report kept its worst states; ``VERIFY_TEXT``
+was re-recorded when the relations took their derivatives by complex step
+and the proof chain gained the Coriolis identity.  They depend
 on the platform's libm (sin, cos): on another box, a failure here first
 says that the platform differs, not that the code does.
 
@@ -103,16 +105,16 @@ effective config:
   params = QuadParams(mass=0.468, jx=0.004856, jy=0.004856, jz=0.008801, \
 gravity=9.81, arm=0.225, thrust_coeff=5.064653404757345e-06, \
 drag_coeff=1.14e-07, rotor_inertia=3.357e-05, gyro_enabled=True)
-relation residuals over 1000 states (seed 0, analytic partials, |pitch| < 1.3):
+relation residuals over 1000 states (seed 0, complex-step derivatives, |pitch| < 1.3):
   R1: max residual 3.553e-15  (tol 1.0e-09)  pass  at eta = (+1.8968, -1.2455, -1.4694)
-  R2: max residual 3.553e-15  (tol 1.0e-09)  pass  at eta = (+0.6704, -1.2658, -2.4024)
+  R2: max residual 7.105e-15  (tol 1.0e-09)  pass  at eta = (-3.1119, +1.2653, -0.4120)
   R3: max residual 3.341e-16  (tol 1.0e-09)  pass  at eta = (-2.2914, +1.2567, +0.1398)
-  R4: max residual 2.665e-15  (tol 1.0e-09)  pass  at eta = (+2.1381, -1.2747, +1.9743)
-  R5: max residual 4.441e-15  (tol 1.0e-09)  pass  at eta = (-2.3212, -1.2994, +2.1377)
-  R6: max residual 4.441e-16  (tol 1.0e-09)  pass  at eta = (-1.6376, +0.2501, -2.7736)
-  R7: max residual 1.601e-10  (tol 1.0e-09)  pass  at eta = (+2.5701, -1.2534, -0.4465)
+  R4: max residual 3.691e-15  (tol 1.0e-09)  pass  at eta = (+0.6704, -1.2658, -2.4024)
+  R5: max residual 3.553e-15  (tol 1.0e-09)  pass  at eta = (-0.7140, -1.2845, -0.4636)
+  R6: max residual 6.661e-16  (tol 1.0e-09)  pass  at eta = (-2.6794, -0.0418, +2.3176)
+  R7: max residual 8.882e-16  (tol 1.0e-09)  pass  at eta = (-2.5589, -1.0593, -1.9023)
 equivalence proof chain residuals (relative):
-  generalized-torque identity: 1.619e-16
+  Coriolis identity (torque-free): 4.214e-16
   Newton-Euler closure (revised model): 1.912e-16
   Newton-Euler closure (literature model): 2.675e-01
 

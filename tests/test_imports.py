@@ -1,8 +1,10 @@
-"""Import hygiene: every name a module imports is referenced in it, and
-every module-level private name is loaded somewhere in the package."""
+"""Import hygiene: every name a module imports is referenced in it, every
+module-level private name is loaded somewhere in the package, and the
+package imports nothing outside its declared runtime dependencies."""
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -34,6 +36,36 @@ def test_checker_flags_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+# pyproject.toml declares numpy as the one runtime dependency
+RUNTIME_MODULES = set(sys.stdlib_module_names) | {"numpy", "rotordyn"}
+
+
+def undeclared_imports(source: str) -> list[str]:
+    """Top-level modules an absolute import names that are not the
+    standard library, numpy or the package itself."""
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    return sorted(imported - RUNTIME_MODULES)
+
+
+def test_checker_flags_undeclared_imports():
+    source = ("import os.path, numpy as np\nimport scipy.linalg\n"
+              "from sympy import Matrix\nfrom . import fast\n"
+              "from .kinematics import skew\nfrom rotordyn import lab\n"
+              "def f():\n    import pandas\n")
+    assert undeclared_imports(source) == ["pandas", "scipy", "sympy"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_imports_only_declared_runtime_dependencies(path):
+    assert undeclared_imports(path.read_text()) == []
 
 
 def loaded_names(tree) -> set[str]:

@@ -40,16 +40,33 @@ class TestSampling:
         assert not np.array_equal(a[0], c[0])
 
 
+ROW_JACOBIANS = lab._row_jacobians
+
+
+def _swapped_row_jacobians(winv, dw):
+    return np.swapaxes(ROW_JACOBIANS(winv, dw), -3, -1)
+
+
+def _flipped_dw_dtheta(eta):
+    dw = kinematics.w_partials(eta)
+    dw[..., 1, :, :] *= -1.0
+    return dw
+
+
+def _scaled_w_inverse(eta):
+    scale = 1.0 + 0.01 * np.sin(np.asarray(eta)[..., 0])
+    return kinematics.w_inverse(eta) * scale[..., None, None]
+
+
+def _transposed_rotation(eta):
+    return np.swapaxes(kinematics.rotation(eta), -1, -2)
+
+
 class TestRelations:
     def test_analytic_residuals_are_tiny(self):
         report = check_relations(n_samples=100, seed=1, tol=1e-9)
         assert report.passed
         assert set(report.residuals) == set(RELATION_NAMES)
-
-    def test_finite_difference_cross_check(self):
-        # the same relations hold with FD derivatives at FD accuracy
-        report = check_relations(n_samples=50, seed=2, tol=1e-6, method="fd")
-        assert report.passed
 
     def test_r7_fails_for_a_wrong_w(self, monkeypatch):
         monkeypatch.setattr(lab, "w_matrix",
@@ -57,25 +74,61 @@ class TestRelations:
         report = check_relations(n_samples=20, seed=0, tol=1e-9)
         assert report.residuals["R7"] > report.tol
 
-    def test_wrong_row_jacobian_index_convention_fails(self, monkeypatch):
-        # with the k and i axes of d(W^-1)/d eta swapped, P_i is the wrong
-        # Jacobian: R2 against the independent finite-difference
-        # d(W^-1)/dt catches it (the analytic d(W^-1)/dt is built from the
-        # same swapped partials, so the analytic R2 agrees with it)
-        monkeypatch.setattr(lab, "w_inverse_partials", lambda eta: np.swapaxes(
-            kinematics.w_inverse_partials(eta), -3, -2))
-        report = check_relations(n_samples=20, seed=0, tol=1e-6, method="fd")
-        assert report.residuals["R2"] > report.tol
+    # One planted defect per relation; every relation fails for at least
+    # one, because its complex-step side does not share the defect.  At
+    # seed 0 the target relations read: swapped P_i axes R1 27, R2 17,
+    # R4 4.8; flipped dW/d theta R6 3.7; scaled W^-1 R3 1.0e-2, R5 1.7e-2;
+    # R^T for R R7 4.5.
+    DEFECTS = {
+        "clean": (None, None, set()),
+        "swapped_row_jacobian_axes": ("_row_jacobians", _swapped_row_jacobians,
+                                      {"R1", "R2", "R4"}),
+        "flipped_dw_dtheta": ("w_partials", _flipped_dw_dtheta,
+                              {"R1", "R2", "R4", "R6"}),
+        "scaled_w_inverse": ("w_inverse", _scaled_w_inverse,
+                             {"R1", "R2", "R3", "R4", "R5"}),
+        "transposed_rotation": ("rotation", _transposed_rotation, {"R7"}),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    def test_each_planted_defect_fails_its_relations(self, monkeypatch,
+                                                     defect):
+        name, fake, failing = self.DEFECTS[defect]
+        if name is not None:
+            monkeypatch.setattr(lab, name, fake)
+        report = check_relations(n_samples=20, seed=0, tol=1e-9)
+        assert {r for r, v in report.residuals.items()
+                if v >= report.tol} == failing
+        assert all(report.residuals[r] < 4e-15 for r in RELATION_NAMES
+                   if r not in failing)
+
+    def test_row_jacobians_match_complex_step(self):
+        # P[..., i, j, k] = d(W^-1)[i, j]/d eta_k, from the complex step of
+        # W^-1 along each e_k
+        etas, _ = sample_states(25, seed=9)
+        p = lab._row_jacobians(kinematics.w_inverse(etas),
+                               kinematics.w_partials(etas))
+        for k in range(3):
+            step = kinematics.w_inverse(etas + 1j * lab.CS_STEP * np.eye(3)[k])
+            assert np.allclose(p[..., k], step.imag / lab.CS_STEP,
+                               rtol=0.0, atol=1e-12)
+
+    def test_planted_defects_cover_every_relation(self):
+        assert set().union(*(f for _, _, f in self.DEFECTS.values())) == set(
+            RELATION_NAMES)
 
     def test_one_kinematics_pass_per_check(self, monkeypatch):
-        # counted in states, so the bound holds however the check is blocked
+        # counted in states, so the bounds hold however the check is
+        # blocked: one real pass, and one complex W^-1 per state for each
+        # of the four complex-step directions e1, e2, e3 and eta_dot
         states = collections.Counter()
 
         def counted(name):
             fn = getattr(kinematics, name)
 
             def call(eta):
-                states[name] += np.size(eta) // 3
+                kind = "complex" if np.iscomplexobj(eta) else "real"
+                states[name, kind] += np.size(eta) // 3
                 return fn(eta)
             return call
         for name in ("w_inverse", "w_partials"):
@@ -84,17 +137,19 @@ class TestRelations:
             monkeypatch.setattr(lab, name, wrapper)
         n_samples = 1000
         check_relations(n_samples)
-        assert set(states) == {"w_inverse", "w_partials"}
-        assert max(states.values()) <= 2 * n_samples
+        assert set(states) == {("w_inverse", "real"), ("w_partials", "real"),
+                               ("w_inverse", "complex")}
+        assert states["w_inverse", "real"] <= n_samples
+        assert states["w_partials", "real"] <= n_samples
+        assert states["w_inverse", "complex"] == 4 * n_samples
 
-    @pytest.mark.parametrize("method", ["analytic", "fd"])
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 769])
-    def test_blocks_match_one_batch(self, method, n):
+    def test_blocks_match_one_batch(self, n):
         # block edges at RELATION_BLOCK = 256: the report is the one a
         # single _relation_residuals call over all n states gives
-        report = check_relations(n, seed=6, method=method)
+        report = check_relations(n, seed=6)
         etas, eta_dots = sample_states(n, seed=6)
-        batch = lab._relation_residuals(etas, eta_dots, method)
+        batch = lab._relation_residuals(etas, eta_dots)
         for name in RELATION_NAMES:
             i = int(np.argmax(batch[name]))
             assert report.worst[name] == i
@@ -115,60 +170,45 @@ class TestRelations:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             check_relations(n_samples=0)
-        with pytest.raises(ValueError):
-            lab._relation_residuals(np.zeros(3), np.zeros(3), "symbolic")
 
     def test_report_formatting(self):
         report = check_relations(n_samples=10, seed=0)
         text = report.format_text()
         assert "R1" in text and "pass" in text
 
-    @pytest.mark.parametrize("method", ["analytic", "fd"])
-    def test_batch_residuals_are_the_per_state_residuals(self, method):
+    def test_batch_residuals_are_the_per_state_residuals(self):
         etas, eta_dots = sample_states(40, seed=5)
-        batch = lab._relation_residuals(etas, eta_dots, method)
+        batch = lab._relation_residuals(etas, eta_dots)
         for i in (0, 17, 39):
-            one = lab._relation_residuals(etas[i], eta_dots[i], method)
+            one = lab._relation_residuals(etas[i], eta_dots[i])
             for name in RELATION_NAMES:
                 assert batch[name].shape == (40,)
                 assert batch[name][i] == one[name]
 
-    # sha256 of format_text() for 1000 states, as the report printed it
-    # when it redrew the samples to name the worst states
+    # sha256 of format_text() for 1000 states, recorded when the
+    # derivatives went to complex step
     REPORT_SHA256 = {
-        ("analytic", 0):
-            "d5297969e5f0925b6735d9d0f018aac3d098b9ce0bac238b9acd0d1a24a2359e",
-        ("analytic", 1):
-            "7dc4b93b05afb08b0741f590234f7fabe930ece5e027a56a509549a224efbe93",
-        ("analytic", 2):
-            "d9f5ef4de88257f62996afeccdd8d8403238668a33080d8c54f25330eb4c979a",
-        ("analytic", 3):
-            "b0f7e3e56929f1e81ccef49fcdd369f7b178d5e9e4c599caeed9b24233fe2ced",
-        ("fd", 0):
-            "b682a11cfaeeea2f58aee3ba923eaf6a4f270877ba7c1da47e5eb431a782fef9",
-        ("fd", 1):
-            "cef41efa4ed3c942c2e983754dd1fa3252454812a6ae11a1be6f689b2b899ec1",
-        ("fd", 2):
-            "875c285b4ddae6b335c62c421caf8f17d87798420c9f8a5be2b44e242e75ad8c",
-        ("fd", 3):
-            "56f762613fb8b55fe1083b25003e730e1d1d0fc656249e2f1e84d6e3f73213d5",
+        0: "1d6a191c71e580c3180f192887cdd874aa01faa8eccfd880625934d9ad35d1f8",
+        1: "430fc6a44047861bc67fc270dc75fd5fda2f3d606280ab95e393459fcec8c9d3",
+        2: "25ea9ca052f0b9292b73550722658af5414f87e55b5439b69d28fe2e41673b9e",
+        3: "21ce6e99f982a7aa30ece4cbfe7413f83732ef802a8e7043353f0dd4f2821fe5",
     }
 
-    @pytest.mark.parametrize("method,seed", sorted(REPORT_SHA256))
-    def test_report_prints_without_redrawing(self, monkeypatch, method, seed):
-        report = check_relations(1000, seed, method=method)
+    @pytest.mark.parametrize("seed", sorted(REPORT_SHA256))
+    def test_report_prints_without_redrawing(self, monkeypatch, seed):
+        report = check_relations(1000, seed)
 
         def redraw(n, seed):
             raise AssertionError("format_text redrew the sampled states")
         monkeypatch.setattr(lab, "sample_states", redraw)
         text = report.format_text()
         assert (hashlib.sha256(text.encode()).hexdigest()
-                == self.REPORT_SHA256[method, seed])
+                == self.REPORT_SHA256[seed])
 
     def test_report_names_the_worst_state(self):
         report = check_relations(n_samples=60, seed=4)
         etas, eta_dots = sample_states(60, seed=4)
-        per_state = lab._relation_residuals(etas, eta_dots, "analytic")
+        per_state = lab._relation_residuals(etas, eta_dots)
         assert set(report.worst) == set(RELATION_NAMES)
         lines = report.format_text().splitlines()[1:]
         for name, line in zip(RELATION_NAMES, lines):
@@ -184,9 +224,18 @@ class TestProofChain:
     def test_revised_model_closes_newton_euler(self, params):
         report = check_proof_chain([0.3, 0.4, 0.5], [0.1, -0.2, 0.3],
                                    [0.01, 0.02, 0.03], params)
-        assert report.generalized_torque_residual < 1e-9
+        assert report.coriolis_residual < 1e-9
         assert report.newton_euler_residual < 1e-9
         assert report.literature_residual > 1e-3
+        assert all(type(v) is float for v in vars(report).values())
+
+    def test_coriolis_identity_holds_over_sampled_states(self, params):
+        # C eta_dot = W^T (J W_dot eta_dot + w x J w) for any torque
+        etas, eta_dots = sample_states(1000, seed=0)
+        worst = max(check_proof_chain(eta, eta_dot, [0.01, -0.02, 0.005],
+                                      params).coriolis_residual
+                    for eta, eta_dot in zip(etas, eta_dots))
+        assert worst < 1e-13
 
     def test_models_coincide_at_identity(self, params):
         report = check_proof_chain(np.zeros(3), np.zeros(3),
