@@ -70,6 +70,8 @@ CLI_RUNS = {
     "track_rel_tangent": (TRACK_REL_TANGENT, ["run", "--duration", "1"]),
     "sweep": (None, ["run", "--config", str(ROOT / "configs/fig3.cfg"),
                      "--duration", "0.3"]),
+    "oracle": (None, ["run", "--config", str(ROOT / "configs/table3.cfg"),
+                      "--duration", "0.5"]),
 }
 
 CSV_SHA256 = {
@@ -87,6 +89,8 @@ CSV_SHA256 = {
         "f3ab09985f13cc9afa6564bbcbc84003f17b3af1d666ffdf5b2836a5b9cb3bea",
     "sweep":
         "7837f7567e837d6eb789cd677e1534c9b8524172e1026044519c0e4ff65ef118",
+    "oracle":
+        "6751b2f6374bb72d896437fce510531e06738b0bb3d00ff35f9c70845514149b",
 }
 
 # what `track` prints for the el run that hits the attitude-error limit

@@ -148,6 +148,25 @@ def test_real_outputs_are_unchanged():
     assert digest == REAL_OUTPUT_SHA256
 
 
+# sha256 of the complex128 bytes of rotation, w_matrix, w_inverse and
+# w_partials at eta + i CS_STEP v for 2000 sampled states and the
+# directions v = e1, e2, e3 and eta_dot, the inputs of lab's complex-step
+# relations
+COMPLEX_OUTPUT_SHA256 = (
+    "32a8c3add7eb8a205266bfafdbc5e95b5882213824513e77d0c2c366f803a12e")
+
+
+def test_complex_outputs_are_unchanged():
+    etas, eta_dots = lab.sample_states(2000, 42)
+    steps = np.concatenate([np.broadcast_to(np.eye(3), etas.shape + (3,)),
+                            eta_dots[:, None, :]], -2)
+    probe = etas[:, None, :] + 1j * CS_STEP * steps
+    outs = [fn(probe) for fn in (kin.rotation, kin.w_matrix, kin.w_inverse,
+                                 kin.w_partials)]
+    digest = hashlib.sha256(b"".join(o.tobytes() for o in outs)).hexdigest()
+    assert digest == COMPLEX_OUTPUT_SHA256
+
+
 # -- batches: (..., 3) in, one result per row, bit for bit ------------------
 
 # Few examples each: every example already checks up to six rows.

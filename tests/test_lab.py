@@ -176,6 +176,20 @@ class TestRelations:
         text = report.format_text()
         assert "R1" in text and "pass" in text
 
+    # sha256 of the seven per-state residual arrays of one
+    # _relation_residuals call over 1000 states, in RELATION_NAMES order
+    RESIDUALS_SHA256 = {
+        0: "8869d795d1276edeb5adf6b6dc3a2fd27c97d079f9f1711c44da82895f0bdcf9",
+        7: "ae1bcbcbe04cb820f41da3af891a39091e91e86a6e39edf61714616aff88b69d",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(RESIDUALS_SHA256))
+    def test_residual_arrays_are_unchanged(self, seed):
+        res = lab._relation_residuals(*sample_states(1000, seed))
+        digest = hashlib.sha256(
+            b"".join(res[name].tobytes() for name in RELATION_NAMES))
+        assert digest.hexdigest() == self.RESIDUALS_SHA256[seed]
+
     def test_batch_residuals_are_the_per_state_residuals(self):
         etas, eta_dots = sample_states(40, seed=5)
         batch = lab._relation_residuals(etas, eta_dots)
