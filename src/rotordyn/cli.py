@@ -247,10 +247,12 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _write_rows(rows, path: str):
+    """Stream rows of CSV fields, each already a string (floats as their
+    repr, formatted once), to ``path``, one line per row as it arrives."""
     try:
         with open(path, "w", newline="") as fh:
             for row in rows:
-                fh.write(",".join(map(str, row)) + "\n")
+                fh.write(",".join(row) + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc}")
 
@@ -260,7 +262,7 @@ def _write_series(header, times, values, path: str):
     def rows():
         yield header
         for t, v in zip(times.tolist(), values):
-            yield [t, *v.tolist()]   # str(float) is repr(float)
+            yield [repr(t), *map(repr, v.tolist())]
     _write_rows(rows(), path)
 
 

@@ -83,12 +83,10 @@ def w_matrix(eta) -> np.ndarray:
     rates: [e1, R1(-phi) e2, R1(-phi) R2(-theta) e3].
     """
     eta = _arr(eta)
-    r1 = elem_rotation(1, -eta[..., 0])
-    out = np.zeros(r1.shape, r1.dtype)
-    out[..., 0, 0] = 1.0
-    out[..., :, 1] = r1 @ E2
-    out[..., :, 2] = matvec(r1, elem_rotation(2, -eta[..., 1]) @ E3)
-    return out
+    w = elem_rotation(1, -eta[..., 0])   # columns 0, 1: e1 = R1 e1 and R1 e2
+    w[..., :, 2] = matvec(w, elem_rotation(2, -eta[..., 1])[..., :, 2])
+    w[..., :, 1] += 0.0   # each -0.0 (sin(-0.0)) to +0.0, as R1 @ e2 gives it
+    return w
 
 
 def _det_adjugate(m):
@@ -133,10 +131,10 @@ def w_partials(eta) -> np.ndarray:
     """
     eta = _arr(eta)
     r1 = elem_rotation(1, -eta[..., 0])
-    r2e3 = elem_rotation(2, -eta[..., 1]) @ E3
+    r2e3 = elem_rotation(2, -eta[..., 1])[..., :, 2]
     out = np.zeros(eta.shape + (3, 3), eta.dtype)
     # d/d phi: both r1-dependent columns pick up -skew(e1) on the left of r1
-    out[..., 0, :, 1] = -matvec(_S1, r1 @ E2)
+    out[..., 0, :, 1] = -matvec(_S1, r1[..., :, 1])
     out[..., 0, :, 2] = -matvec(_S1, matvec(r1, r2e3))
     # d/d theta: only the last column depends on r2
     out[..., 1, :, 2] = -matvec(r1, matvec(_S2, r2e3))

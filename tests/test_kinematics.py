@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -165,6 +166,29 @@ def test_complex_outputs_are_unchanged():
                                  kin.w_partials)]
     digest = hashlib.sha256(b"".join(o.tobytes() for o in outs)).hexdigest()
     assert digest == COMPLEX_OUTPUT_SHA256
+
+
+# sha256 of rotation, w_matrix, w_inverse, w_partials and w_dot at every
+# eta built from signed zeros, subnormals, 0.5, -1.2, +-pi and 1e300, for
+# real input and for complex input with imaginary part +0.0, -0.0 and a
+# complex step, recorded before the columns R1(-phi) e2 and R2(-theta) e3
+# were taken by indexing; sin(-0.0) is -0.0, where the product gave +0.0
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 0.5, -1.2, math.pi, -math.pi, 1e300]
+SPECIAL_OUTPUT_SHA256 = (
+    "b6766f97681cbeaa59e199f3f99e01029461bef72a3e58fddf2e6bc5eaca56e7")
+
+
+def test_outputs_at_special_angles_are_unchanged():
+    etas = np.array(list(itertools.product(SPECIAL, SPECIAL, [0.0, -0.0, 2.0])))
+    rate = np.array([1.0, -0.0, 0.0])
+    plus, minus = etas + 0j, etas + 0j
+    minus.imag = -0.0
+    outs = []
+    for probe in (etas, plus, minus, etas + 1j * CS_STEP * rate):
+        outs += [kin.rotation(probe), kin.w_matrix(probe), kin.w_inverse(probe),
+                 kin.w_partials(probe), kin.w_dot(probe, rate)]
+    digest = hashlib.sha256(b"".join(o.tobytes() for o in outs)).hexdigest()
+    assert digest == SPECIAL_OUTPUT_SHA256
 
 
 # -- batches: (..., 3) in, one result per row, bit for bit ------------------
