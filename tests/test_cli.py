@@ -462,8 +462,8 @@ def test_series_csv_bytes_are_repr_of_each_float(tmp_path):
 def test_series_csv_is_streamed_row_by_row(tmp_path):
     # 50 000 rows x (t + 12 values); the writer's tracemalloc peak read
     # 1.55 MiB before CSV fields were formatted by repr, most of it the
-    # list of times.  Every row held at once, as floats (about 20 MiB) or
-    # as strings (more), exceeds the bound by far.
+    # list of times.  Every row held at once, as floats (21 MiB) or as
+    # strings (75 MiB), exceeds the bound by far.
     rng = np.random.default_rng(1)
     times = np.arange(50_000) * 0.01
     values = rng.standard_normal((50_000, 12))

@@ -179,14 +179,16 @@ SPECIAL_OUTPUT_SHA256 = (
 
 
 def test_outputs_at_special_angles_are_unchanged():
-    etas = np.array(list(itertools.product(SPECIAL, SPECIAL, [0.0, -0.0, 2.0])))
+    etas = np.array(list(itertools.product(SPECIAL, SPECIAL,
+                                           [0.0, -0.0, 2.0])))
     rate = np.array([1.0, -0.0, 0.0])
     plus, minus = etas + 0j, etas + 0j
     minus.imag = -0.0
     outs = []
     for probe in (etas, plus, minus, etas + 1j * CS_STEP * rate):
-        outs += [kin.rotation(probe), kin.w_matrix(probe), kin.w_inverse(probe),
-                 kin.w_partials(probe), kin.w_dot(probe, rate)]
+        outs += [kin.rotation(probe), kin.w_matrix(probe),
+                 kin.w_inverse(probe), kin.w_partials(probe),
+                 kin.w_dot(probe, rate)]
     digest = hashlib.sha256(b"".join(o.tobytes() for o in outs)).hexdigest()
     assert digest == SPECIAL_OUTPUT_SHA256
 
