@@ -203,7 +203,6 @@ _SECTIONS = {
 
 # Flags that set a [run] key, through the same converters
 _FLAGS = ("out", "seed", "dt", "duration")
-_VALUE_OPTIONS = ("--config",) + tuple(f"--{name}" for name in _FLAGS)
 
 
 def _take(section: dict, known: dict, section_name: str) -> dict:
@@ -348,23 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_values(argv):
-    """``--flag -value`` as ``--flag=-value``: argparse takes a value that
-    starts with '-' and is not a plain negative number (``--dt -1e-3``,
-    ``--dt -inf``) for an option; joined, it reaches the flag's converter."""
-    out = []
-    for arg in argv:
-        if (out and out[-1] in _VALUE_OPTIONS and arg.startswith("-")
-                and not arg.startswith("--") and arg != "-h"):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(
-        _attach_values(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(argv)
     try:
         if args.config:
             try:

@@ -170,12 +170,6 @@ class TrackingResult(Trajectory):
     def max_error(self) -> float:
         return float(np.abs(self.states).max()) if len(self) else math.inf
 
-    def max_error_after(self, t_transient: float) -> float:
-        mask = self.times >= t_transient
-        if self.diverged or not mask.any():
-            return math.inf
-        return float(np.abs(self.states[mask]).max())
-
 
 def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
                  params: QuadParams, dt: float = 1e-3) -> TrackingResult:

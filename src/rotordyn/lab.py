@@ -203,7 +203,6 @@ def check_proof_chain(eta, eta_dot, torque, params: QuadParams) -> ProofChainRep
     eta_dot = np.asarray(eta_dot, float)
     torque = np.asarray(torque, float)
     w = w_matrix(eta)
-    w_inverse(eta)  # singularity guard
     wd = w_dot(eta, eta_dot)
     j = params.inertia
     omega = w @ eta_dot

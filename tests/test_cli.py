@@ -378,13 +378,31 @@ class TestMain:
         assert len(cut_rows) == 52   # header + the 51 samples before step 50
         assert cut_rows == full.read_text().splitlines()[:52]
 
-    @pytest.mark.parametrize("value, reason", [
-        ("-1e-3", "must be > 0"), ("-inf", "must be finite"),
-        ("-.5", "must be > 0")])
-    def test_value_starting_with_dash_reaches_converter(self, capsys, value,
-                                                        reason):
-        assert main(["compare", "--dt", value]) == 2
+    # argparse takes a plain negative number after a space; any other value
+    # that starts with '-' reaches the converter only as --flag=value
+    @pytest.mark.parametrize("argv, value, reason", [
+        (["--dt=-1e-3"], "-1e-3", "must be > 0"),
+        (["--dt=-inf"], "-inf", "must be finite"),
+        (["--dt", "-.5"], "-.5", "must be > 0")],
+        ids=["-1e-3-must be > 0", "-inf-must be finite", "-.5-must be > 0"])
+    def test_value_starting_with_dash_reaches_converter(self, capsys, argv,
+                                                        value, reason):
+        assert main(["compare", *argv]) == 2
         assert f"dt = '{value}': {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-inf"])
+    def test_dash_value_after_space_exits_2_naming_the_flag(self, capsys,
+                                                           value):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--dt", value])
+        assert exc.value.code == 2
+        assert "argument --dt: expected one argument" in capsys.readouterr().err
+
+    def test_out_value_starting_with_dash_is_written(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--duration", "0.1", "--out=-name.csv"]) == 0
+        assert (tmp_path / "-name.csv").read_text().startswith("t,")
 
     @pytest.mark.parametrize("argv", [
         ["compare", "--dur", "-1e-3"], ["compare", "--dur", "1"],
@@ -495,4 +513,4 @@ def test_fig4_only_the_revised_compensator_tracks(tmp_path, rate):
     result = control.run_tracking("rel", spec, cfg.gains,
                                   cfg.params.with_gyro(False), cfg.dt)
     assert not result.diverged
-    assert result.max_error_after(2.0) < 1e-4
+    assert np.abs(result.states[result.times >= 2.0]).max() < 1e-4

@@ -157,6 +157,12 @@ def test_every_kinematics_function_has_a_caller_in_the_package():
     assert uncalled_public_functions("kinematics", modules, within=True) == []
 
 
+@pytest.mark.parametrize("module", ["control", "lab", "integrators", "cli"])
+def test_every_public_function_has_a_caller_in_the_package(module):
+    modules = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert uncalled_public_functions(module, modules, within=True) == []
+
+
 def test_only_integrators_loads_the_step_failure_policy():
     """``integrators.march`` alone classifies a failed step: no other
     module loads the runaway test or its reason."""

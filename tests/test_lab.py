@@ -256,6 +256,15 @@ class TestProofChain:
                                    [0.01, 0.0, 0.0], params)
         assert report.literature_residual < 1e-12
 
+    def test_gimbal_lock_raises_w_inverse_message(self, params):
+        eta = [0.1, math.pi / 2, 0.2]
+        with pytest.raises(kinematics.SingularConfiguration) as chain:
+            check_proof_chain(eta, [0.1, -0.2, 0.3], [0.01, 0.02, 0.03],
+                              params)
+        with pytest.raises(kinematics.SingularConfiguration) as direct:
+            kinematics.w_inverse(eta)
+        assert str(chain.value) == str(direct.value)
+
 
 class TestRmse:
     def _traj(self, states):
