@@ -69,8 +69,10 @@ class RunConfig:
         lines = ["effective config:"] + [
             f"  {f.name} = {getattr(self, f.name)}" for f in fields(self)
             if f.name in used]
+        param_keys = PARAMS_READ.get(self.command, _SECTIONS["params"])
         ignored = [f"[{s}] {k}" for s, k in self.config_keys
-                   if _field(s, k) not in used]
+                   if _field(s, k) not in used
+                   or s == "params" and k not in param_keys]
         if ignored:
             lines.append(f"  ignored: {', '.join(ignored)}")
         return "\n".join(lines)
@@ -92,6 +94,11 @@ READS = {"simulate": ("model",) + _OPEN_LOOP, "compare": _OPEN_LOOP,
          "oracle": _OPEN_LOOP, "verify": ("seed", "samples", "tol", "params"),
          "track": ("compensator",) + _CLOSED_LOOP,
          "sweep": ("ki_grid", "compensators") + _CLOSED_LOOP}
+# The [params] keys read where not all are: the closed loop commands the
+# wrench, so it reads no rotor key, and verify reads only the inertia
+_RIGID_BODY = ("mass", "jx", "jy", "jz", "gravity")
+PARAMS_READ = {"verify": ("jx", "jy", "jz"), "track": _RIGID_BODY,
+               "sweep": _RIGID_BODY}
 
 
 def _parse_sections(text: str):

@@ -5,13 +5,14 @@ specialized to the Tait-Bryan 321 sequence and a diagonal inertia.  The
 generic implementations stay the reference; the test suite pins these to
 them at machine tolerance.
 
-Float-body convention: every kernel unpacks its state (ndarray, list or
-tuple) once into Python floats and is one straight-line body that makes no
-ndarray and calls no helper but ``models.mixer`` on the rotor speeds and
-``_attitude_terms`` (shared with ``control``).  ``ne_rates_321`` and the
-``*_derivative_321`` functions return the derivative as a list of 12 floats, as ``integrators`` expects.
-Python floats and numpy float64 round identically, so the result does not
-depend on the type of the state passed in.
+Float-body convention: states and rotor speeds arrive as sequences
+(list or tuple) of Python floats; ``lab.simulate_model`` turns an ndarray
+rotor input into one before it calls a kernel.  Every kernel unpacks its
+state once and is one straight-line body that makes no ndarray and calls
+no helper but ``models.mixer`` on the rotor speeds and ``_attitude_terms``
+(shared with ``control``).  ``ne_rates_321`` and the ``*_derivative_321``
+functions return the derivative as a list of 12 floats, as
+``integrators`` expects.
 
 For 321 (eta = (phi, theta, psi), W independent of psi):
 
@@ -26,8 +27,6 @@ with A = jy cf^2 + jz sf^2, B = (jy - jz) sf cf, E = jy sf^2 + jz cf^2.
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .kinematics import SINGULARITY_TOL, SingularConfiguration
 from .models import QuadParams, mixer
@@ -44,8 +43,7 @@ def ne_rates_321(y, thrust, tau, params: QuadParams, u=None) -> list:
     """Newton-Euler derivative; tau is the body torque, three floats.  With
     rotor speeds ``u`` (a sequence of floats) the rotor gyroscopic torque
     at the state's body rates is added to tau first."""
-    _, _, _, phi, theta, psi, vx, vy, vz, wx, wy, wz = (
-        y.tolist() if isinstance(y, np.ndarray) else y)
+    _, _, _, phi, theta, psi, vx, vy, vz, wx, wy, wz = y
     sf, cf = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
     if abs(ct) <= SINGULARITY_TOL:
@@ -131,10 +129,8 @@ def _gen_rates(y, u, params: QuadParams, revised: bool) -> list:
     """E-L derivative at rotor speeds ``u``: the mixer torque plus the rotor
     gyroscopic torque at omega = W eta_dot enters as the generalized torque
     tau (literature) or W^T tau (revised)."""
-    u = u.tolist() if isinstance(u, np.ndarray) else u
     thrust, (tx, ty, tz) = mixer(u, params)
-    _, _, _, phi, theta, psi, xd, yd, zd, fd, td, pd = (
-        y.tolist() if isinstance(y, np.ndarray) else y)
+    _, _, _, phi, theta, psi, xd, yd, zd, fd, td, pd = y
     sf, cf = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
     sp, cp = math.sin(psi), math.cos(psi)
@@ -173,7 +169,6 @@ def _gen_rates(y, u, params: QuadParams, revised: bool) -> list:
 
 
 def ne_derivative_321(y, u, params: QuadParams) -> list:
-    u = u.tolist() if isinstance(u, np.ndarray) else u
     thrust, tau = mixer(u, params)
     return ne_rates_321(y, thrust, tau, params, u)
 

@@ -45,9 +45,11 @@ class Trajectory:
 
 @functools.cache
 def _rk4_step(n: int):
-    """The RK4 step for states of length n, every stage written out one
-    component at a time; built from n alone, as dataclasses builds
-    ``__init__``, and unpacking exactly n values from y and from f."""
+    """The classical RK4 step for states of length n, every stage written
+    out one component at a time; built from n alone, as dataclasses builds
+    ``__init__``, and unpacking exactly n values from y and from f.
+    Element by element the arithmetic is that of the array expression
+    y + (dt/6) * (k1 + 2 k2 + 2 k3 + k4), in the same order."""
     def row(fmt):
         return "[" + ", ".join(fmt.format(i) for i in range(n)) + "]"
     namespace = {}
@@ -62,15 +64,6 @@ def _rk4_step(n: int):
          f"    return {row('a{0} + c * (p{0} + 2.0 * q{0} + 2.0 * r{0} + s{0})')}",
          namespace)
     return namespace["step"]
-
-
-def step_rk4(f, y, t, dt):
-    """One classical fourth-order Runge-Kutta step.
-
-    Element by element the arithmetic is that of the array expression
-    y + (dt/6) * (k1 + 2 k2 + 2 k3 + k4), in the same order.
-    """
-    return _rk4_step(len(y))(f, y, t, dt)
 
 
 def _bad(y) -> bool:

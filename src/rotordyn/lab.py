@@ -314,8 +314,9 @@ def simulate_model(model: str, input_fn, cfg: ComparisonConfig,
     deriv = _MODEL_FNS[model]
     params = cfg.params
 
-    def f(t, y):
-        return deriv(y, input_fn(t), params)
+    def f(t, y):   # the kernels take rotor speeds as Python floats
+        u = input_fn(t)
+        return deriv(y, u.tolist() if isinstance(u, np.ndarray) else u, params)
 
     return simulate(f, np.zeros(12), cfg.duration, cfg.dt, n_steps=n_steps)
 

@@ -11,14 +11,8 @@ to these bit for bit.
 
 import math
 
-import numpy as np
-
 from rotordyn.fast import _attitude_terms, _check_ct
 from rotordyn.models import mixer, relative_rotor_speed
-
-
-def _floats(v):
-    return v.tolist() if isinstance(v, np.ndarray) else v
 
 
 def rotate(sf, cf, st, ct, sp, cp, x, y, z):
@@ -62,7 +56,7 @@ def solve_sym(jr, rhs):
 
 
 def ne_rates_321(y, thrust, tau, params, u=None):
-    _, _, _, phi, theta, psi, vx, vy, vz, wx, wy, wz = _floats(y)
+    _, _, _, phi, theta, psi, vx, vy, vz, wx, wy, wz = y
     sf, cf = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
     _check_ct(ct, phi, theta, psi)
@@ -85,12 +79,12 @@ def ne_rates_321(y, thrust, tau, params, u=None):
 
 
 def gen_rates(y, thrust, tau, params, revised, u=None):
-    _, _, _, phi, theta, psi, xd, yd, zd, fd, td, pd = _floats(y)
+    _, _, _, phi, theta, psi, xd, yd, zd, fd, td, pd = y
     sf, cf = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
     sp, cp = math.sin(psi), math.cos(psi)
     _check_ct(ct, phi, theta, psi)
-    tx, ty, tz = _floats(tau)
+    tx, ty, tz = tau
     if u is not None:
         gx, gy = gyro_body(fd - st * pd, cf * td + sf * ct * pd, u, params)
         tx, ty = tx + gx, ty + gy
@@ -109,18 +103,15 @@ def gen_rates(y, thrust, tau, params, revised, u=None):
 
 
 def ne_derivative_321(y, u, params):
-    u = _floats(u)
     thrust, tau = mixer(u, params)
     return ne_rates_321(y, thrust, tau, params, u=u)
 
 
 def el_lit_derivative_321(y, u, params):
-    u = _floats(u)
     thrust, tau = mixer(u, params)
     return gen_rates(y, thrust, tau, params, revised=False, u=u)
 
 
 def rel_derivative_321(y, u, params):
-    u = _floats(u)
     thrust, tau = mixer(u, params)
     return gen_rates(y, thrust, tau, params, revised=True, u=u)

@@ -219,6 +219,37 @@ class TestMain:
         assert ("  ignored: [run] duration, [sweep] ki_grid, "
                 "[gains] att_kp, [helix] radius, [input] freq") in echo
 
+    # the rotor keys of [params]: no closed-loop or verify number moves
+    # with them (gyro is off in the closed loop whatever the file says)
+    ROTOR_KEYS = ("arm = 0.5\nthrust_coeff = 1e-5\ndrag_coeff = 1e-7\n"
+                  "rotor_inertia = 1.0\ngyro = true\n")
+
+    @pytest.mark.parametrize("command,keys", [
+        ("track", "duration = 0.02\n[params]\nmass = 0.5\ngravity = 9.8\n"),
+        ("sweep", "duration = 0.02\n[sweep]\nki_grid = 8000\n"
+                  "[params]\nmass = 0.5\ngravity = 9.8\n"),
+        ("verify", "samples = 10\n[params]\n"),
+    ], ids=["track", "sweep", "verify"])
+    def test_echo_lists_the_params_keys_the_command_does_not_read(
+            self, tmp_path, capsys, command, keys):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"[run]\ncommand = {command}\n{keys}jx = 5e-3\n"
+                     f"{self.ROTOR_KEYS}")
+        assert main(["run", "--config", str(p)]) == 0
+        assert ("  ignored: [params] arm, [params] thrust_coeff, "
+                "[params] drag_coeff, [params] rotor_inertia, "
+                "[params] gyro") in capsys.readouterr().out.splitlines()
+
+    def test_verify_ignores_mass_and_gravity(self, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text("[params]\nmass = 5.0\ngravity = 3.0\n")
+        assert main(["verify"]) == 0
+        default = capsys.readouterr().out.split("relation residuals")[1]
+        assert main(["verify", "--config", str(p)]) == 0
+        echo, results = capsys.readouterr().out.split("relation residuals")
+        assert "  ignored: [params] mass, [params] gravity" in echo
+        assert results == default
+
     def test_echo_lists_nothing_when_every_key_is_read(self, tmp_path,
                                                        capsys):
         p = tmp_path / "c.cfg"

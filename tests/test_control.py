@@ -22,7 +22,7 @@ from rotordyn.control import (
     run_tracking,
 )
 from rotordyn.fast import ne_rates_321
-from rotordyn.integrators import RUNAWAY, step_rk4
+from rotordyn.integrators import RUNAWAY, _rk4_step
 from rotordyn.kinematics import (
     SingularConfiguration,
     rotation,
@@ -380,7 +380,7 @@ class TestAttitudeLinearization:
         errors = np.empty((n + 1, 3))
         errors[0] = self.ETA_REF
         for i in range(n):
-            z = step_rk4(rhs, z, i * self.DT, self.DT)
+            z = _rk4_step(len(z))(rhs, z, i * self.DT, self.DT)
             errors[i + 1] = self.ETA_REF - z[3:6]
         return errors
 
@@ -474,7 +474,7 @@ class TestTrackingExits:
         calls = itertools.count()
 
         def stepper(f, y, t, dt):
-            y = step_rk4(f, y, t, dt)
+            y = _rk4_step(len(y))(f, y, t, dt)
             return fail(y) if next(calls) == k else y
         monkeypatch.setattr(control, "step_rk4", stepper)
 

@@ -42,16 +42,21 @@ def test_every_import_is_used(path):
 RUNTIME_MODULES = set(sys.stdlib_module_names) | {"numpy", "rotordyn"}
 
 
-def undeclared_imports(source: str) -> list[str]:
-    """Top-level modules an absolute import names that are not the
-    standard library, numpy or the package itself."""
+def absolute_imports(source: str) -> set[str]:
+    """Top-level modules an absolute import names."""
     imported = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             imported |= {a.name.split(".")[0] for a in node.names}
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
-    return sorted(imported - RUNTIME_MODULES)
+    return imported
+
+
+def undeclared_imports(source: str) -> list[str]:
+    """Top-level modules an absolute import names that are not the
+    standard library, numpy or the package itself."""
+    return sorted(absolute_imports(source) - RUNTIME_MODULES)
 
 
 def test_checker_flags_undeclared_imports():
@@ -68,17 +73,39 @@ def test_imports_only_declared_runtime_dependencies(path):
     assert undeclared_imports(path.read_text()) == []
 
 
-def loaded_names(tree) -> set[str]:
-    """Names a module loads: as a name, an attribute or an import."""
+def test_fast_kernels_import_no_numpy():
+    """The fast kernels are float code only: ``lab.simulate_model`` turns
+    an ndarray rotor input into floats before a kernel sees it."""
+    assert "numpy" not in absolute_imports((SRC / "fast.py").read_text())
+
+
+def loaded_names(tree, own=frozenset()) -> set[str]:
+    """Names a module loads: as a name, an attribute or an import.  A name
+    in ``own`` counts only as an attribute or an import."""
     loaded = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            loaded.add(node.id)
+            if node.id not in own:
+                loaded.add(node.id)
         elif isinstance(node, ast.Attribute):
             loaded.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             loaded.update(a.name for a in node.names)
     return loaded
+
+
+def bound_names(tree) -> list[str]:
+    """Names a module binds at module level by def, class or assignment."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            bound += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return bound
 
 
 def unused_private_names(modules: dict[str, str]) -> list[str]:
@@ -87,22 +114,10 @@ def unused_private_names(modules: dict[str, str]) -> list[str]:
     import."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     loaded = set().union(*map(loaded_names, trees.values()))
-    unused = []
-    for name, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                bound = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                bound = [n.id for t in targets for n in ast.walk(t)
-                         if isinstance(n, ast.Name)]
-            else:
-                continue
-            unused += [f"{name}.{b}" for b in bound
-                       if b.startswith("_") and not b.startswith("__")
-                       and b not in loaded]
-    return sorted(unused)
+    return sorted(f"{name}.{b}" for name, tree in trees.items()
+                  for b in bound_names(tree)
+                  if b.startswith("_") and not b.startswith("__")
+                  and b not in loaded)
 
 
 def test_checker_flags_unused_private_names():
@@ -120,11 +135,14 @@ def test_every_private_name_is_used():
 def uncalled_public_functions(module: str, modules: dict[str, str],
                               within: bool = False) -> list[str]:
     """Public module-level functions of ``module`` that no other module
-    loads: a kernel only the tests reach.  With ``within``, a load in
+    loads: a kernel only the tests reach.  A name another module binds at
+    module level itself (``step = _step``) is its own, so only an import
+    or an attribute load of it counts there.  With ``within``, a load in
     ``module`` itself counts too, outside the function's own body."""
-    others = set().union(*(loaded_names(ast.parse(source))
-                           for name, source in modules.items()
-                           if name != module))
+    trees = [ast.parse(source) for name, source in modules.items()
+             if name != module]
+    others = set().union(*(loaded_names(tree, set(bound_names(tree)))
+                           for tree in trees))
     body = ast.parse(modules[module]).body
     functions = [node for node in body if isinstance(node, ast.FunctionDef)
                  and not node.name.startswith("_")]
@@ -145,6 +163,18 @@ def test_checker_flags_uncalled_public_functions():
         "dead", "recursive", "self_only"]
     assert uncalled_public_functions("fast", modules, within=True) == [
         "recursive", "self_only"]
+
+
+def test_checker_does_not_count_a_same_named_binding_as_a_caller():
+    # control binding its own step = _step loads that binding, not
+    # integrators.step; an import or an attribute load still counts
+    modules = {"integrators": "def _step(): pass\ndef step(): pass\n"
+                              "def march(): pass\ndef simulate(): pass\n",
+               "control": "from .integrators import _step, march\n"
+                          "step = _step\nmarch(step)\n"
+                          "def run(): step()\n",
+               "lab": "simulate = integrators.simulate\nsimulate()\n"}
+    assert uncalled_public_functions("integrators", modules) == ["step"]
 
 
 def test_every_fast_kernel_has_a_caller_in_the_package():

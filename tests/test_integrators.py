@@ -18,7 +18,6 @@ from rotordyn.integrators import (
     march,
     simulate,
     step_count,
-    step_rk4,
 )
 from rotordyn.kinematics import SingularConfiguration
 from rotordyn.models import QuadParams
@@ -31,15 +30,15 @@ def exponential(t, y):
 class TestSteps:
     def test_rk4_step_is_fourth_order_taylor(self):
         # for y' = y one RK4 step reproduces the Taylor sum through dt^4/24
-        y = step_rk4(exponential, np.array([1.0]), 0.0, 0.1)
+        y = _rk4_step(1)(exponential, np.array([1.0]), 0.0, 0.1)
         taylor = 1.0 + 0.1 + 0.1 ** 2 / 2 + 0.1 ** 3 / 6 + 0.1 ** 4 / 24
         assert y[0] == pytest.approx(taylor, abs=1e-15)
         assert y[0] == pytest.approx(math.e ** 0.1, abs=1e-7)
 
     def test_rk4_handles_time_dependence(self):
         # y' = 2t, exact y(1) = 1 (polynomial, integrated exactly)
-        y = step_rk4(lambda t, y: np.array([2.0 * t]), np.array([0.0]),
-                     0.0, 1.0)
+        y = _rk4_step(1)(lambda t, y: np.array([2.0 * t]), np.array([0.0]),
+                         0.0, 1.0)
         assert y[0] == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("kernel", [fast.ne_derivative_321,
@@ -61,16 +60,16 @@ class TestSteps:
             u = rng.uniform(300.0, 600.0, 4)
 
             def f(t, y):
-                return kernel(y, u + np.sin(t), params)
+                return kernel(y, (u + np.sin(t)).tolist(), params)
 
             want = rk4_array(lambda t, y: np.array(f(t, y)), y0, 0.3, 0.01)
-            got = step_rk4(f, y0.tolist(), 0.3, 0.01)
+            got = _rk4_step(12)(f, y0.tolist(), 0.3, 0.01)
             assert all(type(v) is float for v in got)
             assert np.array_equal(got, want)
 
 
 def rk4_comprehensions(f, y, t, dt):
-    """RK4 as list comprehensions over zip: the reference for step_rk4."""
+    """RK4 as list comprehensions over zip: the reference for _rk4_step."""
     half = 0.5 * dt
     k1 = f(t, y)
     k2 = f(t + half, [a + half * k for a, k in zip(y, k1)])
@@ -101,7 +100,7 @@ class TestWrittenOutStep:
             y0[1::3] = 0.0
             y = container(y0.tolist())
             want = rk4_comprehensions(f, y, 0.7, dt)
-            got = step_rk4(f, y, 0.7, dt)
+            got = _rk4_step(n)(f, y, 0.7, dt)
             assert len(got) == n
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -109,7 +108,7 @@ class TestWrittenOutStep:
     def test_step_function_is_built_once_per_length(self):
         _rk4_step.cache_clear()
         for n in (2, 5, 2, 2, 5):
-            step_rk4(exponential, [1.0] * n, 0.0, 0.1)
+            _rk4_step(n)(exponential, [1.0] * n, 0.0, 0.1)
         info = _rk4_step.cache_info()
         assert (info.currsize, info.misses, info.hits) == (2, 2, 3)
 
@@ -124,7 +123,7 @@ class TestWrittenOutStep:
                                    lambda t, y: [1.0, 2.0, 3.0]])
     def test_derivative_of_wrong_length_is_an_error(self, f):
         with pytest.raises(ValueError, match="values to unpack"):
-            step_rk4(f, [1.0, 2.0], 0.0, 0.1)
+            _rk4_step(2)(f, [1.0, 2.0], 0.0, 0.1)
         with pytest.raises(ValueError, match="values to unpack"):
             simulate(f, [1.0, 2.0], 0.3, 0.1)
 
@@ -235,13 +234,14 @@ class TestMarch:
 
         def step(f, y, t, dt):
             times.append(t)
-            return step_rk4(f, y, t, dt)
+            return _rk4_step(len(y))(f, y, t, dt)
 
         def run():
             for point in march(step, f, [0.0, 1.0], self.DT, self.N):
                 points.append(point)
 
-        clean = list(march(step_rk4, _smooth, [0.0, 1.0], self.DT, self.N))
+        clean = list(march(_rk4_step(2), _smooth, [0.0, 1.0], self.DT,
+                           self.N))
         assert [i for i, _ in clean] == list(range(self.N + 1))
         last = self.K    # the index of the last point yielded
         if reason is None:

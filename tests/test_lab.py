@@ -337,6 +337,33 @@ class TestComparisons:
         with pytest.raises(ValueError):
             simulate_model("dcm", drifting_rotor_input, self.CFG)
 
+    @pytest.mark.parametrize("model", ["ne", "el", "rel"])
+    def test_input_container_does_not_change_the_states(self, model):
+        cfg = ComparisonConfig(dt=0.01, duration=0.5)
+        want = simulate_model(model, drifting_rotor_input, cfg).states
+        for box in (tuple, np.array):
+            got = simulate_model(
+                model, lambda t: box(drifting_rotor_input(t)), cfg).states
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("box", [list, np.array])
+    def test_kernels_get_lists_of_python_floats(self, monkeypatch, box):
+        """A list input (``rotor_input``) or an ndarray input reaches every
+        kernel as a list of floats, as does the state."""
+        calls = []
+        for model, kernel in lab._MODEL_FNS.items():
+            def spy(y, u, params, kernel=kernel):
+                calls.append((y, u))
+                return kernel(y, u, params)
+            monkeypatch.setitem(lab._MODEL_FNS, model, spy)
+        cfg = ComparisonConfig(dt=0.01, duration=0.1)
+        for model in ("ne", "el", "rel"):
+            simulate_model(model, lambda t: box(drifting_rotor_input(t)), cfg)
+        assert len(calls) == 3 * 4 * 10
+        for y, u in calls:
+            assert type(y) is list and type(u) is list
+            assert all(type(v) is float for v in y + u)
+
     def test_revised_tracks_newton_euler_closely(self):
         table = run_model_comparison(self.CFG)
         for group in lab.GROUPS:
