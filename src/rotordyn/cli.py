@@ -175,11 +175,14 @@ def _choice(*options):
 
 
 def _list(conv, n=None):
-    """Comma-separated values, each through ``conv``; ``n`` fixes the count."""
+    """Comma-separated values through ``conv``: ``n`` of them, or distinct."""
     def check(text):
         items = tuple(conv(item.strip()) for item in text.split(","))
         if n is not None and len(items) != n:
             raise ValueError(f"needs {n} entries, got {len(items)}")
+        for i, item in enumerate(items):
+            if n is None and item in items[:i]:
+                raise ValueError(f"repeats {item!r}")
         return items
     return check
 

@@ -301,8 +301,9 @@ def gain_sweep(compensators, ki_grid, gains: Gains, spec: HelixSpec,
                params: QuadParams, dt: float = 2e-3) -> SweepReport:
     """Classify closed-loop stability over a grid of integral gains."""
     ki_grid = sorted(ki_grid)
-    if not ki_grid:
-        raise ValueError("ki_grid must be nonempty")
+    for name, values in (("compensators", compensators), ("ki_grid", ki_grid)):
+        if not values or len(set(values)) < len(values):
+            raise ValueError(f"{name} is empty or repeats a value: {values!r}")
     rows = []
     for comp in compensators:
         for ki in ki_grid:

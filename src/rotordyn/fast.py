@@ -7,12 +7,12 @@ them at machine tolerance.
 
 Float-body convention: states and rotor speeds arrive as sequences
 (list or tuple) of Python floats; ``lab.simulate_model`` turns an ndarray
-rotor input into one before it calls a kernel.  Every kernel unpacks its
-state once and is one straight-line body that makes no ndarray and calls
-no helper but ``models.mixer`` on the rotor speeds and ``_attitude_terms``
-(shared with ``control``).  ``ne_rates_321`` and the ``*_derivative_321``
-functions return the derivative as a list of 12 floats, as
-``integrators`` expects.
+rotor input into one before it calls a kernel.  Every kernel is one
+straight-line body that makes no ndarray and calls no helper but
+``models.mixer`` on the rotor speeds, ``_attitude_terms`` (shared with
+``control``) and, in ``ne_derivative_321``, the wrench-level
+``ne_rates_321`` that ``control`` steps.  Each returns the derivative as a
+list of 12 floats, as ``integrators`` expects.
 
 For 321 (eta = (phi, theta, psi), W independent of psi):
 
@@ -39,23 +39,14 @@ def _check_ct(ct, phi, theta, psi):
             f"at eta = ({phi}, {theta}, {psi})")
 
 
-def ne_rates_321(y, thrust, tau, params: QuadParams, u=None) -> list:
-    """Newton-Euler derivative; tau is the body torque, three floats.  With
-    rotor speeds ``u`` (a sequence of floats) the rotor gyroscopic torque
-    at the state's body rates is added to tau first."""
+def ne_rates_321(y, thrust, tau, params: QuadParams) -> list:
+    """Newton-Euler derivative at thrust and body torque tau (three floats)."""
     _, _, _, phi, theta, psi, vx, vy, vz, wx, wy, wz = y
     sf, cf = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
     if abs(ct) <= SINGULARITY_TOL:
         _check_ct(ct, phi, theta, psi)
     tx, ty, tz = tau
-    if u is not None:
-        # rotor gyroscopic torque s (omega x e3) = s (wy, -wx, 0)
-        gx = gy = 0.0
-        if params.gyro_enabled and params.rotor_inertia != 0.0:
-            s = params.rotor_inertia * (-u[0] + u[1] - u[2] + u[3])
-            gx, gy = s * wy, -s * wx
-        tx, ty = tx + gx, ty + gy
     g = params.gravity
     jx, jy, jz = params.jx, params.jy, params.jz
     sp, cp = math.sin(psi), math.cos(psi)
@@ -169,13 +160,22 @@ def _gen_rates(y, u, params: QuadParams, revised: bool) -> list:
 
 
 def ne_derivative_321(y, u, params: QuadParams) -> list:
-    thrust, tau = mixer(u, params)
-    return ne_rates_321(y, thrust, tau, params, u)
+    """Newton-Euler derivative at rotor speeds ``u``: the mixer torque plus
+    the rotor gyroscopic torque s (omega x e3) = s (wy, -wx, 0)."""
+    thrust, (tx, ty, tz) = mixer(u, params)
+    gx = gy = 0.0
+    if params.gyro_enabled and params.rotor_inertia != 0.0:
+        _, _, _, _, _, _, _, _, _, wx, wy, _ = y
+        s = params.rotor_inertia * (-u[0] + u[1] - u[2] + u[3])
+        gx, gy = s * wy, -s * wx
+    return ne_rates_321(y, thrust, (tx + gx, ty + gy, tz), params)
 
 
 def el_lit_derivative_321(y, u, params: QuadParams) -> list:
+    """Literature Euler-Lagrange derivative at rotor speeds ``u``."""
     return _gen_rates(y, u, params, revised=False)
 
 
 def rel_derivative_321(y, u, params: QuadParams) -> list:
+    """Revised Euler-Lagrange derivative at rotor speeds ``u``."""
     return _gen_rates(y, u, params, revised=True)

@@ -103,16 +103,12 @@ def mixer(u, params: QuadParams):
                     params.drag_coeff * (-s0 + s1 - s2 + s3))
 
 
-def relative_rotor_speed(u) -> float:
-    """Signed sum of rotor speeds entering the gyroscopic term."""
-    return -u[0] + u[1] - u[2] + u[3]
-
-
 def gyro_torque(omega, u, params: QuadParams) -> np.ndarray:
     """Gyroscopic torque of the spinning rotors, in the body frame."""
     if not params.gyro_enabled or params.rotor_inertia == 0.0:
         return np.zeros(3)
-    return params.rotor_inertia * np.cross(omega, E3) * relative_rotor_speed(u)
+    relative_speed = -u[0] + u[1] - u[2] + u[3]
+    return params.rotor_inertia * np.cross(omega, E3) * relative_speed
 
 
 def rotated_inertia(eta, params: QuadParams) -> np.ndarray:

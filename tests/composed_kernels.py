@@ -2,17 +2,16 @@
 
 ``rotordyn.fast`` writes each kernel out as one straight-line body.  These
 are the same kernels built from the helpers those bodies replaced: the
-package's own ``_check_ct``, ``_attitude_terms`` and
-``models.relative_rotor_speed``, plus local copies of the rotation R v,
-the Euler-angle rates W^-1 omega, the gyroscopic term and the symmetric
-solve, which the package no longer has.  The tests pin the fused kernels
+package's own ``_check_ct`` and ``_attitude_terms``, plus local copies of
+the rotation R v, the Euler-angle rates W^-1 omega, the gyroscopic term
+and the symmetric solve, which the package no longer has.  The tests pin the fused kernels
 to these bit for bit.
 """
 
 import math
 
 from rotordyn.fast import _attitude_terms, _check_ct
-from rotordyn.models import mixer, relative_rotor_speed
+from rotordyn.models import mixer
 
 
 def rotate(sf, cf, st, ct, sp, cp, x, y, z):
@@ -35,7 +34,7 @@ def gyro_body(wx, wy, u, params):
     """Rotor gyroscopic torque (x, y components; z is zero)."""
     if not params.gyro_enabled or params.rotor_inertia == 0.0:
         return 0.0, 0.0
-    s = params.rotor_inertia * relative_rotor_speed(u)
+    s = params.rotor_inertia * (-u[0] + u[1] - u[2] + u[3])
     return s * wy, -s * wx
 
 
@@ -55,15 +54,12 @@ def solve_sym(jr, rhs):
             (i13 * r0 + i23 * r1 + i33 * r2) / det)
 
 
-def ne_rates_321(y, thrust, tau, params, u=None):
+def ne_rates_321(y, thrust, tau, params):
     _, _, _, phi, theta, psi, vx, vy, vz, wx, wy, wz = y
     sf, cf = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
     _check_ct(ct, phi, theta, psi)
     tx, ty, tz = tau
-    if u is not None:
-        gx, gy = gyro_body(wx, wy, u, params)
-        tx, ty = tx + gx, ty + gy
     g = params.gravity
     jx, jy, jz = params.jx, params.jy, params.jz
     return [
@@ -78,16 +74,15 @@ def ne_rates_321(y, thrust, tau, params, u=None):
     ]
 
 
-def gen_rates(y, thrust, tau, params, revised, u=None):
+def gen_rates(y, thrust, tau, params, revised, u):
     _, _, _, phi, theta, psi, xd, yd, zd, fd, td, pd = y
     sf, cf = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
     sp, cp = math.sin(psi), math.cos(psi)
     _check_ct(ct, phi, theta, psi)
     tx, ty, tz = tau
-    if u is not None:
-        gx, gy = gyro_body(fd - st * pd, cf * td + sf * ct * pd, u, params)
-        tx, ty = tx + gx, ty + gy
+    gx, gy = gyro_body(fd - st * pd, cf * td + sf * ct * pd, u, params)
+    tx, ty = tx + gx, ty + gy
     if revised:
         tx, ty, tz = (tx, cf * ty - sf * tz,
                       -st * tx + sf * ct * ty + cf * ct * tz)
@@ -103,8 +98,9 @@ def gen_rates(y, thrust, tau, params, revised, u=None):
 
 
 def ne_derivative_321(y, u, params):
-    thrust, tau = mixer(u, params)
-    return ne_rates_321(y, thrust, tau, params, u=u)
+    thrust, (tx, ty, tz) = mixer(u, params)
+    gx, gy = gyro_body(y[9], y[10], u, params)
+    return ne_rates_321(y, thrust, (tx + gx, ty + gy, tz), params)
 
 
 def el_lit_derivative_321(y, u, params):

@@ -88,6 +88,10 @@ class TestParseConfig:
         ("[input]\nfreq = -inf\n", "must be finite"),
         ("[run]\nseed = -3\n", "must be >= 0"),
         ("[sweep]\nki_grid = 8000, -1\n", "must be >= 0"),
+        ("[sweep]\nki_grid = 8000, 8e3\n",
+         "ki_grid = '8000, 8e3': repeats 8000.0"),
+        ("[sweep]\ncompensators = el, rel, el\n",
+         "compensators = 'el, rel, el': repeats 'el'"),
         ("[helix]\nduration = 60\n", "unknown key 'duration'"),
     ])
     def test_rejects_with_reason(self, body, reason):
@@ -151,6 +155,19 @@ class TestMain:
         p = tmp_path / "bad.cfg"
         p.write_text("[run]\nwat = 1\n")
         assert main(["compare", "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("key, value, repeat", [
+        ("ki_grid", "8000, 8000", "8000.0"),
+        ("compensators", "el, el", "'el'")])
+    def test_repeated_sweep_cell_exits_2(self, tmp_path, capsys, key, value,
+                                         repeat):
+        # each cell would run the same closed loop and print the same row
+        p = tmp_path / "c.cfg"
+        p.write_text(f"[sweep]\n{key} = {value}\n")
+        assert main(["sweep", "--config", str(p)]) == 2
+        out = capsys.readouterr()
+        assert f"line 2: {key} = {value!r}: repeats {repeat}" in out.err
+        assert out.out == ""
 
     def test_position_integral_gain_is_an_unknown_key(self, tmp_path, capsys):
         # the outer loop is PD plus feedforward: there is no pos_ki to set

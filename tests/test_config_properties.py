@@ -42,10 +42,12 @@ VALID = {
     ("input", "base"): four,
     ("input", "amp"): four,
     ("input", "freq"): finite,
-    ("sweep", "ki_grid"): st.lists(nonnegative, min_size=1,
-                                   max_size=5).map(tuple),
+    # a sweep grid repeats no cell
+    ("sweep", "ki_grid"): st.lists(nonnegative, min_size=1, max_size=5,
+                                   unique=True).map(tuple),
     ("sweep", "compensators"): st.lists(st.sampled_from(("el", "rel")),
-                                        min_size=1, max_size=3).map(tuple),
+                                        min_size=1, max_size=2,
+                                        unique=True).map(tuple),
 }
 
 

@@ -596,6 +596,19 @@ class TestSweep:
             assert row.max_error == result.max_error
         assert [r.stable for r in report.rows].count(False) >= 1
 
+    @pytest.mark.parametrize("compensators,ki_grid,name", [
+        (["el"], [], "ki_grid"),
+        (["el"], [8e3, 10e3, 8e3], "ki_grid"),
+        (["el"], [0.0, -0.0], "ki_grid"),
+        ([], [8e3], "compensators"),
+        (["rel", "el", "rel"], [8e3], "compensators"),
+    ])
+    def test_empty_or_repeated_grid_raises(self, params, compensators,
+                                           ki_grid, name):
+        with pytest.raises(ValueError, match=f"{name} is empty or repeats"):
+            gain_sweep(compensators, ki_grid, Gains(), HelixSpec(duration=2.0),
+                       params.with_gyro(False), dt=5e-3)
+
     def test_sweep_runs_grid(self, params):
         spec = HelixSpec(duration=2.0)
         report = gain_sweep(["rel"], [8e3, 10e3], Gains(), spec,

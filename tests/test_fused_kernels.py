@@ -4,6 +4,7 @@ Every value is compared with ``==`` and by its sign bit, so a reordered
 sum or a lost signed zero fails; no tolerance is used.
 """
 
+import itertools
 import math
 
 import pytest
@@ -41,6 +42,16 @@ ROTOR_SPEEDS = st.lists(_finite(1000.0), min_size=4, max_size=4)
 CONTAINERS = st.sampled_from([list, tuple])
 
 
+def signed_zero_corners(test):
+    """The rest state with phi, theta in {+0.0, -0.0}, and rotor speeds whose
+    squared differences underflow, so the mixer torque is -0.0."""
+    for phi, theta in itertools.product([0.0, -0.0], repeat=2):
+        rest = [0.0] * 3 + [phi, theta, 0.0] + [0.0] * 6
+        for u in ([400.0] * 4, [0.0, 1e-160, 0.0, 0.0]):
+            test = example(y=rest, u=u, box=list, u_box=list)(test)
+    return test
+
+
 def assert_same(got, want):
     assert type(got) is list and all(type(v) is float for v in got)
     assert got == want
@@ -53,6 +64,7 @@ def assert_same(got, want):
                          ids=["ne", "el", "rel"])
 @settings(max_examples=150, deadline=None)
 @given(y=STATES, u=ROTOR_SPEEDS, box=CONTAINERS, u_box=CONTAINERS)
+@signed_zero_corners
 def test_derivative_equals_the_composition(fused, composed, params, y, u,
                                            box, u_box):
     assert_same(fused(box(y), u_box(u), params),
@@ -63,12 +75,11 @@ def test_derivative_equals_the_composition(fused, composed, params, y, u,
 @settings(max_examples=150, deadline=None)
 @given(y=STATES, thrust=_finite(50.0),
        tau=st.lists(_finite(1.0), min_size=3, max_size=3),
-       u=st.none() | ROTOR_SPEEDS, box=CONTAINERS)
-# gyro off still adds +0.0 to tau, which turns -0.0 into 0.0
-@example(y=[0.0] * 12, thrust=0.0, tau=[-0.0] * 3, u=[0.0] * 4, box=list)
-def test_ne_rates_equal_the_composition(params, y, thrust, tau, u, box):
-    assert_same(fast.ne_rates_321(box(y), thrust, tuple(tau), params, u=u),
-                ref.ne_rates_321(box(y), thrust, tuple(tau), params, u=u))
+       box=CONTAINERS)
+@example(y=[0.0] * 12, thrust=0.0, tau=[-0.0] * 3, box=list)
+def test_ne_rates_equal_the_composition(params, y, thrust, tau, box):
+    assert_same(fast.ne_rates_321(box(y), thrust, tuple(tau), params),
+                ref.ne_rates_321(box(y), thrust, tuple(tau), params))
 
 
 @pytest.mark.parametrize("fused,composed", DERIVATIVES + [
@@ -88,3 +99,12 @@ def test_gimbal_lock_raises_the_same_message(fused, composed, y, off, side,
     with pytest.raises(SingularConfiguration) as got:
         fused(box(y), u, PARAMS["gyro on"])
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("params", PARAMS.values(), ids=PARAMS.keys())
+@pytest.mark.parametrize("fused", [f for f, _ in DERIVATIVES],
+                         ids=["ne", "el", "rel"])
+@pytest.mark.parametrize("n", [0, 11, 13])
+def test_state_of_wrong_length_raises_value_error(fused, params, n):
+    with pytest.raises(ValueError, match=r"values to unpack \(expected 12"):
+        fused([0.0] * n, [400.0, 410.0, 420.0, 430.0], params)
