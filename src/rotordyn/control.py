@@ -11,6 +11,7 @@ loop is identical for both.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,7 +36,7 @@ class InfeasibleAttitude(Exception):
     """Commanded acceleration requires more tilt than allowed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gains:
     """Outer position and inner attitude PID gains (scalars applied per axis)."""
 
@@ -51,7 +52,7 @@ class Gains:
                 raise ValueError(f"{name} must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HelixSpec:
     """Reference trajectory: circle of given radius and angular rate with a
     constant climb rate.  Tangent yaw follows the horizontal velocity and
@@ -190,7 +191,7 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
     y = _reference_start(spec, gains, params).tolist()
     a0 = a1 = a2 = 0.0    # integral of the attitude error
     errors = np.empty((n_steps + 1, 3))
-    error_row = memoryview(errors)   # float stores with no ndarray call
+    store = struct.Struct("3d").pack_into   # row i at byte 24 i
 
     def f(_t, yy):   # the plant under the wrench of the current step
         return ne_rates_321(yy, thrust, torque, params)
@@ -222,7 +223,7 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
             e0, e1, e2 = r0 - phi, r1 - theta, r2 - psi
             torque = attitude_fl_pid(compensator, (sf, cf, st, ct), eta_dot,
                                      (e0, e1, e2), (a0, a1, a2), gains, params)
-            error_row[i, 0], error_row[i, 1], error_row[i, 2] = e0, e1, e2
+            store(errors, 24 * i, e0, e1, e2)
             if max(abs(e0), abs(e1), abs(e2)) > ERROR_LIMIT:
                 return diverged(i + 1, "attitude error limit exceeded")
             a0 += e0 * dt

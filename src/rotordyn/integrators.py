@@ -8,13 +8,15 @@ per length.  ``march`` is the one stepping loop: it walks the grid
 t = i * dt and raises Diverged for a SingularConfiguration, an infinite
 stage angle or a NaN/Inf or runaway state.  ``simulate`` records its
 states and turns Diverged into a marker on the returned trajectory
-rather than an exception.  Only the recorded rows are numpy.
+rather than an exception.  Only the recorded rows are numpy: each is
+packed into its preallocated float64 array with one ``struct`` call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,7 +129,8 @@ def simulate(f, y0, t_final, dt, *, n_steps: int | None = None) -> Trajectory:
     with times i * dt (no accumulated addition).  On NaN/Inf, a component
     exceeding DIVERGENCE_LIMIT, an infinite stage angle, or a
     SingularConfiguration, the trajectory is truncated and marked diverged.
-    Fewer than one step is a ValueError.
+    Fewer than one step, or a y0 that already fails that test, is a
+    ValueError.
     """
     grid = step_count(t_final, dt)   # checks dt and t_final
     n_steps = grid if n_steps is None else n_steps
@@ -135,11 +138,14 @@ def simulate(f, y0, t_final, dt, *, n_steps: int | None = None) -> Trajectory:
         raise ValueError(f"n_steps = {n_steps}: need at least one step")
     y = np.array(y0, dtype=float).tolist()
     if _bad(y):
-        raise ValueError("initial state is not finite")
-    states = np.empty((n_steps + 1, len(y)))
+        raise ValueError(f"initial state is not finite or has an entry "
+                         f"beyond DIVERGENCE_LIMIT = {DIVERGENCE_LIMIT:g}")
+    n = len(y)
+    states = np.empty((n_steps + 1, n))
+    store, size = struct.Struct(f"{n}d").pack_into, 8 * n   # bytes per row
     try:
-        for i, y in march(_rk4_step(len(y)), f, y, dt, n_steps):
-            states[i] = y
+        for i, y in march(_rk4_step(n), f, y, dt, n_steps):
+            store(states, i * size, *y)
     except Diverged as exc:
         return Trajectory(dt, states[:exc.i + 1], True, exc.i, exc.reason)
     return Trajectory(dt, states)

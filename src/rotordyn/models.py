@@ -19,7 +19,7 @@ State vectors are flat length-12 arrays, sliced by ``P`` and ``ETA``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -44,7 +44,7 @@ OMEGA = slice(9, 12)
 HOVER_ROTOR_SPEED = 476.05  # rad/s, matches the rotor-input regime used in the experiments
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadParams:
     """Physical parameters of the quadrotor."""
 
@@ -60,7 +60,7 @@ class QuadParams:
     gyro_enabled: bool = True
 
     def __post_init__(self):
-        if not all(map(math.isfinite, vars(self).values())):
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
             raise ValueError(f"parameters must be finite: {self}")
         if self.mass <= 0 or self.jx <= 0 or self.jy <= 0 or self.jz <= 0:
             raise ValueError("mass and inertia diagonal must be positive")

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 import types
 
 import numpy as np
@@ -78,6 +79,65 @@ class TestGainsAndSpec:
         with pytest.raises(ValueError, match="nonzero rate"):
             HelixSpec(yaw_mode="tangent", rate=0.0)
         HelixSpec(yaw_mode="constant", rate=0.0)
+
+
+class TestParameterRecords:
+    """QuadParams, Gains and HelixSpec are frozen, slotted value records."""
+
+    RECORDS = [QuadParams(), QuadParams(thrust_coeff=2.98e-6, jz=9e-3),
+               Gains(), Gains(att_ki=14e3), HelixSpec(),
+               HelixSpec(yaw_mode="tangent", rate=-0.7)]
+    RECORD_IDS = [f"{type(r).__name__}-{i % 2}" for i, r in enumerate(RECORDS)]
+
+    @staticmethod
+    def _values(record):
+        return tuple(getattr(record, f.name)
+                     for f in dataclasses.fields(record))
+
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_slotted_with_no_instance_dict(self, record):
+        assert not hasattr(record, "__dict__")
+        assert type(record).__slots__ == tuple(
+            f.name for f in dataclasses.fields(record))
+
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_refuses_assignment(self, record):
+        values = self._values(record)
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, 1.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, f.name)
+        # a name that is no field: CPython 3.11's frozen __setattr__ on a
+        # slotted class raises TypeError from its super() call
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            record.extra = 1.0
+        assert not hasattr(record, "extra")
+        assert self._values(record) == values
+
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_value_semantics(self, record):
+        values = self._values(record)
+        twin = type(record)(*values)
+        assert twin == record and twin is not record
+        assert hash(twin) == hash(record) == hash(values)
+        assert dataclasses.replace(record) == record
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is type(record) and self._values(back) == values
+        assert back == record and hash(back) == hash(record)
+
+    def test_replace_and_with_gyro_change_one_field(self):
+        base = QuadParams()
+        for changed, name, value in [
+                (base.with_gyro(False), "gyro_enabled", False),
+                (dataclasses.replace(base, mass=0.5), "mass", 0.5),
+                (dataclasses.replace(Gains(), att_ki=14e3), "att_ki", 14e3),
+                (dataclasses.replace(HelixSpec(), climb=-0.2), "climb", -0.2)]:
+            assert getattr(changed, name) == value
+            for f in dataclasses.fields(changed):
+                if f.name != name:
+                    assert getattr(changed, f.name) == getattr(
+                        type(changed)(), f.name)
 
 
 class TestHelixReference:
@@ -190,6 +250,18 @@ class TestFloatControlStep:
             want = attitude_fl_pid(comp, *att, Gains(), params)
             got = attitude_fl_pid(comp, *map(kind, att), Gains(), params)
             assert [float(v) for v in got] == list(want)
+
+    @pytest.mark.parametrize("compensator", ["el", "rel"])
+    def test_level_rest_torque_is_a_positive_zero(self, params, compensator):
+        # J_R[0, 1] is 0.0 for 321.  At level rest with err = (-0.0, 0.0,
+        # 0.0) and int_err = -0.0 the roll torque j11 n0 + j12 n1 + j13 n2
+        # + c0 is (-0.0) + 0.0 + (-0.0) + (-0.0) = +0.0, positive only
+        # through the j12 product: subtracting or dropping it gives -0.0.
+        torque = attitude_fl_pid(compensator, (0.0, 1.0, 0.0, 1.0),
+                                 (0.0, 0.0, 0.0), (-0.0, 0.0, 0.0),
+                                 (-0.0, -0.0, -0.0), Gains(), params)
+        assert torque == (0.0, 0.0, 0.0)
+        assert [math.copysign(1.0, v) for v in torque] == [1.0, 1.0, 1.0]
 
     def test_every_pid_term_enters_its_own_axis(self, params):
         # distinct nonzero values in every argument and gain: a term taken

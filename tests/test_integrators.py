@@ -281,6 +281,12 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(exponential, [math.nan], 1.0, 0.1)
 
+    @pytest.mark.parametrize("y0", [[math.nan], [2e9], [0.0, -2e9]])
+    def test_bad_initial_state_message_names_both_causes(self, y0):
+        with pytest.raises(ValueError, match="not finite or has an entry "
+                                             "beyond DIVERGENCE_LIMIT = 1e"):
+            simulate(exponential, y0, 1.0, 0.1)
+
     @pytest.mark.parametrize("t_final, dt", [
         (1.0, 0.0), (1.0, math.inf), (1.0, math.nan), (1.0, -math.inf),
         (math.inf, 0.1), (math.nan, 0.1)])
@@ -329,6 +335,53 @@ class TestSimulate:
                                   traj.dt * np.arange(len(traj.states)))
         with pytest.raises(AttributeError):
             full.times = np.zeros(11)
+
+
+def indexed_rows(f, y0, t_final, dt):
+    """``simulate``'s rows, stored with ``states[i] = y``: the reference
+    for its struct-packed rows."""
+    y = np.array(y0, dtype=float).tolist()
+    states = np.empty((step_count(t_final, dt) + 1, len(y)))
+    try:
+        for i, y in march(_rk4_step(len(y)), f, y, dt, len(states) - 1):
+            states[i] = y
+    except Diverged as exc:
+        return states[:exc.i + 1]
+    return states
+
+
+def ne_hover(t, y):
+    return fast.ne_derivative_321(y, [470.0, 480.0, 475.0, 478.0],
+                                  QuadParams())
+
+
+class TestPackedRows:
+    """Each row ``simulate`` records holds the bits of the state ``march``
+    yielded, signed zeros included, as a ``states[i] = y`` store would."""
+
+    Y12 = [0.0, -0.0, 1.0, 0.2, -0.1, 0.4, -0.0, 0.5, 0.0, 0.3, -0.4, -0.0]
+
+    @pytest.mark.parametrize("f, y0, t_final, dt", [
+        (ne_hover, Y12, 0.5, 0.01),
+        (negative_zero, [-0.0, 0.0, 1.5], 0.3, 0.1),
+        (wavy, [0.1, -0.0, 2.0, -3.0], 2.0, 0.05),
+        (lambda t, y: -0.5 * np.asarray(y), [1.0, -0.0, 3.0], 1.0, 0.1),
+        (lambda t, y: np.array(wavy(t, y)), [0.1, -0.0, 2.0], 1.0, 0.1),
+    ], ids=["ne", "negative-zero", "wavy", "ndarray", "ndarray-wavy"])
+    def test_rows_equal_indexed_stores_bit_for_bit(self, f, y0, t_final, dt):
+        want = indexed_rows(f, y0, t_final, dt)
+        traj = simulate(f, y0, t_final, dt)
+        assert traj.states.dtype == np.float64
+        assert traj.states.shape == want.shape
+        assert traj.states.tobytes() == want.tobytes()
+
+    def test_diverging_run_keeps_the_rows_up_to_its_step(self):
+        def f(t, y):
+            return [100.0 * v for v in y]
+        traj = simulate(f, [1.0, -0.0], 10.0, 0.5)
+        assert traj.diverged and len(traj) == traj.diverged_step + 1 > 1
+        want = indexed_rows(f, [1.0, -0.0], 10.0, 0.5)
+        assert traj.states.tobytes() == want.tobytes()
 
 
 class TestStepCount:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -61,8 +62,7 @@ class TestQuadParams:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", [
-        "mass", "jx", "jy", "jz", "gravity", "arm", "thrust_coeff",
-        "drag_coeff", "rotor_inertia"])
+        f.name for f in dataclasses.fields(QuadParams)])
     def test_rejects_non_finite_values(self, name, value):
         with pytest.raises(ValueError, match="must be finite"):
             QuadParams(**{name: value})
