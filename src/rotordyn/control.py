@@ -180,8 +180,9 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
     unpacks the plant state once and writes its generalized rates R v and
     W^-1 omega in place, with the expressions of ``fast.ne_rates_321``, and
     hands its sin/cos of phi and theta and its attitude error to the torque.
-    The wrench is held over the RK4 substages.  The plant sees no
-    rotor-level gyroscopic torque (wrench commands are applied directly).
+    The wrench is held over the RK4 substages.  The plant runs at rotor
+    momentum h = 0.0: the wrench is commanded directly, so it feels no
+    rotor gyroscopic torque.
     Raises InfeasibleAttitude for a reference that is infeasible at t = 0;
     later infeasibility, gimbal lock or a runaway state or stage ends the
     run as diverged.  Raises ValueError for a step that is not finite and
@@ -194,7 +195,7 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
     store = struct.Struct("3d").pack_into   # row i at byte 24 i
 
     def f(_t, yy):   # the plant under the wrench of the current step
-        return ne_rates_321(yy, thrust, torque, params)
+        return ne_rates_321(yy, thrust, torque, 0.0, params)
 
     def diverged(rows, reason):   # the first rows, up to diverged_step
         return TrackingResult(dt, errors[:rows], True, rows - 1, reason)
@@ -208,13 +209,15 @@ def run_tracking(compensator: str, spec: HelixSpec, gains: Gains,
             if abs(ct) <= SINGULARITY_TOL:
                 _check_ct(ct, phi, theta, psi)
             sp, cp = math.sin(psi), math.cos(psi)
+            cpst, spst = cp * st, sp * st
+            ctsf, ctcf = ct * sf, ct * cf
             tt = st / ct
             p_dot = (   # R v
-                (cp * ct) * vx + (cp * st * sf - sp * cf) * vy
-                + (cp * st * cf + sp * sf) * vz,
-                (sp * ct) * vx + (sp * st * sf + cp * cf) * vy
-                + (sp * st * cf - cp * sf) * vz,
-                -st * vx + (ct * sf) * vy + (ct * cf) * vz)
+                (cp * ct) * vx + (cpst * sf - sp * cf) * vy
+                + (cpst * cf + sp * sf) * vz,
+                (sp * ct) * vx + (spst * sf + cp * cf) * vy
+                + (spst * cf - cp * sf) * vz,
+                -st * vx + ctsf * vy + ctcf * vz)
             eta_dot = (wx + sf * tt * wy + cf * tt * wz,   # W^-1 omega
                        cf * wy - sf * wz, (sf * wy + cf * wz) / ct)
             thrust, (r0, r1, r2) = position_outer_loop(

@@ -10,9 +10,10 @@ Float-body convention: states and rotor speeds arrive as sequences
 rotor input into one before it calls a kernel.  Every kernel is one
 straight-line body that makes no ndarray and calls no helper but
 ``models.mixer`` on the rotor speeds, ``_attitude_terms`` (shared with
-``control``) and, in ``ne_derivative_321``, the wrench-level
-``ne_rates_321`` that ``control`` steps.  Each returns the derivative as a
-list of 12 floats, as ``integrators`` expects.
+``control``) and, in ``ne_derivative_321``, ``ne_rates_321``, the one
+Newton-Euler body: a wrench plus the rotors' angular momentum h, which
+``control`` passes as 0.0.  Each returns the derivative as a list of 12
+floats, as ``integrators`` expects.
 
 For 321 (eta = (phi, theta, psi), W independent of psi):
 
@@ -39,35 +40,41 @@ def _check_ct(ct, phi, theta, psi):
             f"at eta = ({phi}, {theta}, {psi})")
 
 
-def ne_rates_321(y, thrust, tau, params: QuadParams) -> list:
-    """Newton-Euler derivative at thrust and body torque tau (three floats)."""
+def ne_rates_321(y, thrust, tau, h, params: QuadParams) -> list:
+    """Newton-Euler derivative at thrust, body torque tau (three floats) and
+    rotor angular momentum h: J omega_dot + omega x J omega = tau
+    + h (omega x e3), the gyroscopic term added only for a nonzero h."""
     _, _, _, phi, theta, psi, vx, vy, vz, wx, wy, wz = y
     sf, cf = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
     if abs(ct) <= SINGULARITY_TOL:
         _check_ct(ct, phi, theta, psi)
     tx, ty, tz = tau
+    if h:
+        tx, ty = tx + h * wy, ty + -h * wx
     g = params.gravity
     jx, jy, jz = params.jx, params.jy, params.jz
     sp, cp = math.sin(psi), math.cos(psi)
+    cpst, spst = cp * st, sp * st
+    ctsf, ctcf = ct * sf, ct * cf
     tt = st / ct
 
     return [
         # p_dot = R v
-        (cp * ct) * vx + (cp * st * sf - sp * cf) * vy
-        + (cp * st * cf + sp * sf) * vz,
-        (sp * ct) * vx + (sp * st * sf + cp * cf) * vy
-        + (sp * st * cf - cp * sf) * vz,
-        -st * vx + (ct * sf) * vy + (ct * cf) * vz,
+        (cp * ct) * vx + (cpst * sf - sp * cf) * vy
+        + (cpst * cf + sp * sf) * vz,
+        (sp * ct) * vx + (spst * sf + cp * cf) * vy
+        + (spst * cf - cp * sf) * vz,
+        -st * vx + ctsf * vy + ctcf * vz,
         # eta_dot = W^-1 omega
         wx + sf * tt * wy + cf * tt * wz,
         cf * wy - sf * wz,
         (sf * wy + cf * wz) / ct,
         # v_dot = T/m e3 - omega x v - g R^T e3, R^T e3 = (-st, ct sf, ct cf)
         -(wy * vz - wz * vy) + g * st,
-        -(wz * vx - wx * vz) - g * (ct * sf),
-        thrust / params.mass - (wx * vy - wy * vx) - g * (ct * cf),
-        # omega_dot = J^-1 (tau - omega x J omega)
+        -(wz * vx - wx * vz) - g * ctsf,
+        thrust / params.mass - (wx * vy - wy * vx) - g * ctcf,
+        # omega_dot = J^-1 (tau + h (omega x e3) - omega x J omega)
         (tx - (jz - jy) * wy * wz) / jx,
         (ty - (jx - jz) * wz * wx) / jy,
         (tz - (jy - jx) * wx * wy) / jz,
@@ -160,15 +167,13 @@ def _gen_rates(y, u, params: QuadParams, revised: bool) -> list:
 
 
 def ne_derivative_321(y, u, params: QuadParams) -> list:
-    """Newton-Euler derivative at rotor speeds ``u``: the mixer torque plus
-    the rotor gyroscopic torque s (omega x e3) = s (wy, -wx, 0)."""
-    thrust, (tx, ty, tz) = mixer(u, params)
-    gx = gy = 0.0
+    """Newton-Euler derivative at rotor speeds ``u``: the mixer wrench and
+    the rotors' angular momentum h = J_r (-u1 + u2 - u3 + u4)."""
+    thrust, tau = mixer(u, params)
+    h = 0.0
     if params.gyro_enabled and params.rotor_inertia != 0.0:
-        _, _, _, _, _, _, _, _, _, wx, wy, _ = y
-        s = params.rotor_inertia * (-u[0] + u[1] - u[2] + u[3])
-        gx, gy = s * wy, -s * wx
-    return ne_rates_321(y, thrust, (tx + gx, ty + gy, tz), params)
+        h = params.rotor_inertia * (-u[0] + u[1] - u[2] + u[3])
+    return ne_rates_321(y, thrust, tau, h, params)
 
 
 def el_lit_derivative_321(y, u, params: QuadParams) -> list:

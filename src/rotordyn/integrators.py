@@ -70,11 +70,8 @@ def _rk4_step(n: int):
 
 def _bad(y) -> bool:
     """True for a NaN, an infinite or a runaway (> DIVERGENCE_LIMIT) entry
-    anywhere in ``y``.  One hypot call passes a sound state: it is at least
-    max |y_i|, and NaN or inf if any entry is.  Past it, max skips a NaN
-    that is not first; the sum keeps it."""
-    if math.hypot(*y) <= DIVERGENCE_LIMIT:
-        return False
+    anywhere in ``y``, entry by entry: max skips a NaN that is not first;
+    the sum keeps it."""
     s = sum(y)
     return not max(map(abs, y)) <= DIVERGENCE_LIMIT or s != s
 
@@ -93,8 +90,9 @@ def march(step, f, y, dt, n_steps):
     a SingularConfiguration (its message is the reason), math's domain
     error (``math.sin`` of an infinite stage angle) or a _bad state raises
     Diverged(i, reason) in the caller's loop; the last two are RUNAWAY.
-    Any other error, such as a derivative of the wrong length, is raised
-    again."""
+    One hypot call passes a sound state: it is at least max |y_i|, and NaN
+    or inf if any entry is; only a state past it goes to _bad.  Any other
+    error, such as a derivative of the wrong length, is raised again."""
     for i in range(n_steps):
         yield i, y
         try:
@@ -105,7 +103,7 @@ def march(step, f, y, dt, n_steps):
             if str(exc) != "math domain error":
                 raise
             raise Diverged(i, RUNAWAY) from exc
-        if _bad(y):
+        if not math.hypot(*y) <= DIVERGENCE_LIMIT and _bad(y):
             raise Diverged(i, RUNAWAY)
     yield n_steps, y
 

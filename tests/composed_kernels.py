@@ -3,9 +3,9 @@
 ``rotordyn.fast`` writes each kernel out as one straight-line body.  These
 are the same kernels built from the helpers those bodies replaced: the
 package's own ``_check_ct`` and ``_attitude_terms``, plus local copies of
-the rotation R v, the Euler-angle rates W^-1 omega, the gyroscopic term
-and the symmetric solve, which the package no longer has.  The tests pin the fused kernels
-to these bit for bit.
+the rotation R v, the Euler-angle rates W^-1 omega, the rotor momentum
+and gyroscopic term, and the symmetric solve, which the package no longer
+has.  The tests pin the fused kernels to these bit for bit.
 """
 
 import math
@@ -30,12 +30,18 @@ def w_inv(sf, cf, st, ct, a, b, c):
             (sf * b + cf * c) / ct)
 
 
-def gyro_body(wx, wy, u, params):
-    """Rotor gyroscopic torque (x, y components; z is zero)."""
+def rotor_momentum(u, params):
+    """h = J_r (-u1 + u2 - u3 + u4), the rotors' angular momentum along
+    body z, or None with the gyroscopic term off."""
     if not params.gyro_enabled or params.rotor_inertia == 0.0:
-        return 0.0, 0.0
-    s = params.rotor_inertia * (-u[0] + u[1] - u[2] + u[3])
-    return s * wy, -s * wx
+        return None
+    return params.rotor_inertia * (-u[0] + u[1] - u[2] + u[3])
+
+
+def gyro_body(wx, wy, h):
+    """Rotor gyroscopic torque h (omega x e3) (x, y components; z is
+    zero)."""
+    return h * wy, -h * wx
 
 
 def solve_sym(jr, rhs):
@@ -54,12 +60,15 @@ def solve_sym(jr, rhs):
             (i13 * r0 + i23 * r1 + i33 * r2) / det)
 
 
-def ne_rates_321(y, thrust, tau, params):
+def ne_rates_321(y, thrust, tau, h, params):
     _, _, _, phi, theta, psi, vx, vy, vz, wx, wy, wz = y
     sf, cf = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
     _check_ct(ct, phi, theta, psi)
     tx, ty, tz = tau
+    if h != 0.0:   # a zero h adds nothing, so a -0.0 torque stays -0.0
+        gx, gy = gyro_body(wx, wy, h)
+        tx, ty = tx + gx, ty + gy
     g = params.gravity
     jx, jy, jz = params.jx, params.jy, params.jz
     return [
@@ -81,7 +90,9 @@ def gen_rates(y, thrust, tau, params, revised, u):
     sp, cp = math.sin(psi), math.cos(psi)
     _check_ct(ct, phi, theta, psi)
     tx, ty, tz = tau
-    gx, gy = gyro_body(fd - st * pd, cf * td + sf * ct * pd, u, params)
+    h = rotor_momentum(u, params)
+    gx, gy = (0.0, 0.0) if h is None else gyro_body(
+        fd - st * pd, cf * td + sf * ct * pd, h)
     tx, ty = tx + gx, ty + gy
     if revised:
         tx, ty, tz = (tx, cf * ty - sf * tz,
@@ -98,9 +109,9 @@ def gen_rates(y, thrust, tau, params, revised, u):
 
 
 def ne_derivative_321(y, u, params):
-    thrust, (tx, ty, tz) = mixer(u, params)
-    gx, gy = gyro_body(y[9], y[10], u, params)
-    return ne_rates_321(y, thrust, (tx + gx, ty + gy, tz), params)
+    thrust, tau = mixer(u, params)
+    h = rotor_momentum(u, params)
+    return ne_rates_321(y, thrust, tau, 0.0 if h is None else h, params)
 
 
 def el_lit_derivative_321(y, u, params):

@@ -127,7 +127,7 @@ def test_criterion_5_conservation():
 
     # Newton-Euler, zero wrench
     y0 = np.concatenate([zero, eta0, zero, omega0])
-    ne = simulate(lambda t, y: ne_rates_321(y, 0.0, zero, params),
+    ne = simulate(lambda t, y: ne_rates_321(y, 0.0, zero, 0.0, params),
                   y0, 10.0, 1e-3)
     assert not ne.diverged
     drift_ne = max(

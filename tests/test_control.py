@@ -36,7 +36,7 @@ from rotordyn.models import QuadParams, coriolis_matrix, rotated_inertia
 def _rates(y, params):
     """R v and W^-1 omega of a plant state, as float tuples: rows 0-5 of
     the Newton-Euler derivative, whose expressions the closed loop uses."""
-    d = ne_rates_321(y, 0.0, (0.0, 0.0, 0.0), params)
+    d = ne_rates_321(y, 0.0, (0.0, 0.0, 0.0), 0.0, params)
     return tuple(d[0:3]), tuple(d[3:6])
 
 
@@ -443,7 +443,7 @@ class TestAttitudeLinearization:
             torque = attitude_fl_pid(compensator, _trig(y[3:6]), eta_dot,
                                      self.ETA_REF - y[3:6], ie, self.GAINS, p)
             out = np.empty(15)
-            out[:12] = ne_rates_321(y, thrust, torque, p)
+            out[:12] = ne_rates_321(y, thrust, torque, 0.0, p)
             out[12:] = self.ETA_REF - y[3:6]
             return out
 
@@ -589,10 +589,10 @@ class TestTrackingExits:
         full = self.run(params)
         calls = itertools.count()
 
-        def rates(y, thrust, torque, params):
+        def rates(y, thrust, torque, h, params):
             if next(calls) == 4 * self.K + 2:
                 raise SingularConfiguration("injected gimbal lock")
-            return ne_rates_321(y, thrust, torque, params)
+            return ne_rates_321(y, thrust, torque, h, params)
         monkeypatch.setattr(control, "ne_rates_321", rates)
         self.check(self.run(params), full, self.K + 1, "injected gimbal lock")
 
@@ -601,8 +601,8 @@ class TestTrackingExits:
         ``edit``."""
         calls = itertools.count()
 
-        def rates(y, thrust, torque, params):
-            out = ne_rates_321(y, thrust, torque, params)
+        def rates(y, thrust, torque, h, params):
+            out = ne_rates_321(y, thrust, torque, h, params)
             return edit(out) if next(calls) == 4 * self.K else out
         monkeypatch.setattr(control, "ne_rates_321", rates)
 

@@ -44,10 +44,12 @@ CONTAINERS = st.sampled_from([list, tuple])
 
 def signed_zero_corners(test):
     """The rest state with phi, theta in {+0.0, -0.0}, and rotor speeds whose
-    squared differences underflow, so the mixer torque is -0.0."""
+    squared differences underflow, so the mixer torque is -0.0: with a
+    nonzero rotor momentum h, and with h == 0 where the gyro is on."""
     for phi, theta in itertools.product([0.0, -0.0], repeat=2):
         rest = [0.0] * 3 + [phi, theta, 0.0] + [0.0] * 6
-        for u in ([400.0] * 4, [0.0, 1e-160, 0.0, 0.0]):
+        for u in ([400.0] * 4, [0.0, 1e-160, 0.0, 0.0],
+                  [1e-160, 1e-160, 0.0, 0.0]):
             test = example(y=rest, u=u, box=list, u_box=list)(test)
     return test
 
@@ -75,16 +77,19 @@ def test_derivative_equals_the_composition(fused, composed, params, y, u,
 @settings(max_examples=150, deadline=None)
 @given(y=STATES, thrust=_finite(50.0),
        tau=st.lists(_finite(1.0), min_size=3, max_size=3),
+       h=st.one_of(st.sampled_from([0.0, -0.0]), _finite(1.0)),
        box=CONTAINERS)
-@example(y=[0.0] * 12, thrust=0.0, tau=[-0.0] * 3, box=list)
-def test_ne_rates_equal_the_composition(params, y, thrust, tau, box):
-    assert_same(fast.ne_rates_321(box(y), thrust, tuple(tau), params),
-                ref.ne_rates_321(box(y), thrust, tuple(tau), params))
+@example(y=[0.0] * 12, thrust=0.0, tau=[-0.0] * 3, h=0.0, box=list)
+@example(y=[0.0] * 12, thrust=0.0, tau=[-0.0] * 3, h=-0.0, box=list)
+@example(y=[0.0] * 12, thrust=0.0, tau=[-0.0] * 3, h=1e-3, box=list)
+def test_ne_rates_equal_the_composition(params, y, thrust, tau, h, box):
+    assert_same(fast.ne_rates_321(box(y), thrust, tuple(tau), h, params),
+                ref.ne_rates_321(box(y), thrust, tuple(tau), h, params))
 
 
 @pytest.mark.parametrize("fused,composed", DERIVATIVES + [
-    (lambda y, u, p: fast.ne_rates_321(y, 4.0, (0.0, 0.0, 0.0), p),
-     lambda y, u, p: ref.ne_rates_321(y, 4.0, (0.0, 0.0, 0.0), p)),
+    (lambda y, u, p: fast.ne_rates_321(y, 4.0, (0.0, 0.0, 0.0), 0.1, p),
+     lambda y, u, p: ref.ne_rates_321(y, 4.0, (0.0, 0.0, 0.0), 0.1, p)),
 ], ids=["ne", "el", "rel", "ne_rates"])
 @settings(max_examples=50, deadline=None)
 @given(y=STATES, off=_finite(0.99 * SINGULARITY_TOL),

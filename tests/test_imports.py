@@ -79,6 +79,39 @@ def test_fast_kernels_import_no_numpy():
     assert "numpy" not in absolute_imports((SRC / "fast.py").read_text())
 
 
+def parameters_with_defaults(source: str) -> list[str]:
+    """``function.parameter`` for every parameter, positional or keyword
+    only, that has a default, in every function of ``source``: nested
+    functions and lambdas too."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs,
+                                            args.kw_defaults) if d is not None]
+            name = getattr(node, "name", "<lambda>")
+            found += [f"{name}.{a.arg}" for a in defaulted]
+    return sorted(found)
+
+
+def test_checker_flags_parameter_defaults():
+    source = ("def plain(y, u, params, *rest, **kw): pass\n"
+              "def opt(y, u=None, /, w=0.0, *, k=1, m): pass\n"
+              "def outer(a):\n    def inner(b, c=2): pass\n"
+              "f = lambda x, s=0.0: x\n")
+    assert parameters_with_defaults(source) == [
+        "<lambda>.s", "inner.c", "opt.k", "opt.u", "opt.w"]
+
+
+def test_fast_kernels_have_no_optional_parameter():
+    """Every caller of a fast kernel passes every argument: the plant's
+    rotor momentum h, too, is an argument and not a default."""
+    assert parameters_with_defaults((SRC / "fast.py").read_text()) == []
+
+
 def loaded_names(tree, own=frozenset()) -> set[str]:
     """Names a module loads: as a name, an attribute or an import.  A name
     in ``own`` counts only as an attribute or an import."""

@@ -257,6 +257,21 @@ class TestMarch:
         assert points == clean[:last + 1]
         assert times == [i * self.DT for i in range(min(last + 1, self.N))]
 
+    def test_sound_state_past_the_hypot_bound_marches_on(self):
+        """hypot over the limit only hands the state to the exact rule:
+        twelve entries at 0.9 of the limit are sound, one a step past it
+        is not."""
+        y = [0.9 * DIVERGENCE_LIMIT] * 12
+        assert math.hypot(*y) > DIVERGENCE_LIMIT
+        points = list(march(_rk4_step(12), lambda t, y: [0.0] * 12, y,
+                            self.DT, self.N))
+        assert points == [(i, y) for i in range(self.N + 1)]
+        y[5] = math.nextafter(DIVERGENCE_LIMIT, math.inf)
+        with pytest.raises(Diverged) as info:
+            list(march(_rk4_step(12), lambda t, y: [0.0] * 12, y,
+                       self.DT, self.N))
+        assert (info.value.i, info.value.reason) == (0, RUNAWAY)
+
 
 class TestSimulate:
     def test_grid_layout(self):

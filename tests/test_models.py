@@ -275,14 +275,20 @@ class TestFastPath:
             assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
 
     def test_wrench_level_rates_pinned(self, params, rng):
+        """At h = 0 and at a random nonzero rotor momentum h, whose
+        gyroscopic torque is h (omega x e3)."""
         for state in random_full_states(rng, 30):
             thrust = rng.uniform(0.0, 10.0)
             tau = rng.uniform(-0.05, 0.05, 3)
-            got = fast.ne_rates_321(state.tolist(), thrust, tau.tolist(),
-                                    params)
-            assert all(type(v) is float for v in got)
-            want = models.ne_rates(state, thrust, tau, np.zeros(3), params)
-            assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
+            h_nonzero = float(rng.choice([-1.0, 1.0])
+                              * rng.uniform(1e-3, 0.05))
+            for h in (0.0, h_nonzero):
+                got = fast.ne_rates_321(state.tolist(), thrust, tau.tolist(),
+                                        h, params)
+                assert all(type(v) is float for v in got)
+                tau_g = h * np.cross(state[9:12], models.E3)
+                want = models.ne_rates(state, thrust, tau, tau_g, params)
+                assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
 
     @pytest.mark.parametrize("fn", [fast.ne_derivative_321,
                                     fast.el_lit_derivative_321,
@@ -295,10 +301,10 @@ class TestFastPath:
             assert fn(tuple(y), u, params) == want
             assert fn(y, tuple(u), params) == want
             tau = rng.uniform(-0.05, 0.05, 3).tolist()
-            want = fast.ne_rates_321(y, 2.0, tau, params)
+            want = fast.ne_rates_321(y, 2.0, tau, 0.01, params)
             assert all(type(v) is float for v in want)
-            assert fast.ne_rates_321(tuple(y), 2.0, tuple(tau), params) \
-                == want
+            assert fast.ne_rates_321(tuple(y), 2.0, tuple(tau), 0.01,
+                                     params) == want
 
     def test_attitude_terms_pinned(self, params, rng):
         etas, eta_dots = random_attitudes(rng, 30)
